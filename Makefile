@@ -4,7 +4,7 @@ GO ?= go
 # cross-goroutine shared state (rings, slab pools, the core datapath).
 RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway
 
-.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw chaos check
+.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt perfbench bench bench-mq bench-blk bench-notify bench-gw chaos check
 
 all: build
 
@@ -33,6 +33,12 @@ ciovet:
 # After auditing a new (or removed) //ciovet:allow, re-record the baseline.
 vet-update-baseline:
 	$(GO) run ./cmd/ciovet -baseline ciovet_baseline.json -update ./...
+
+# The repository benchmark (perfbench/) is a nested module that root
+# `go build ./...` does not reach: vet and test it so an API change in
+# the packages it drives cannot break it unseen.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short adversarial fuzzing pass over the descriptor decode path.
 fuzz:
@@ -79,4 +85,4 @@ chaos:
 	$(GO) test -count=1 -v ./internal/chaos
 
 # The full verification gate, in increasing order of cost.
-check: fmt vet build ciovet test race
+check: fmt vet build ciovet test race perfbench

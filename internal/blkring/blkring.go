@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"confio/internal/blockdev"
+	"confio/internal/nic"
 	"confio/internal/platform"
 	"confio/internal/safering"
 	"confio/internal/shmem"
@@ -805,43 +806,48 @@ func (b *Backend) Dead() error {
 	return b.dead
 }
 
-// Backend idle ladder: spin backendSpinIdle empty polls, then (on a
-// notify-enabled device) arm the wake threshold and sleep in bounded
-// exponential steps. The bell wait is always time-bounded — the guest
-// controls when the bell rings (and can publish a garbage event index),
-// never whether the backend keeps serving or can be collected.
-const (
-	backendSpinIdle = 64
-	backendSleepMin = 20 * time.Microsecond
-	backendSleepMax = 200 * time.Microsecond
-)
+// backendBell is the Backend's submission bell as seen by its Idler: it
+// arms the wake threshold in the ring's event word. The guest controls
+// when the bell rings (and can publish a garbage event index), never
+// whether the backend keeps serving or can be collected — the Idler
+// bounds every wait.
+type backendBell struct{ b *Backend }
 
-// armNotify publishes the backend's wake threshold in the ring's event
+// ArmNotify publishes the backend's wake threshold in the ring's event
 // word and reports whether requests already wait (the lost-wakeup
 // recheck: poll again instead of blocking).
-func (b *Backend) armNotify() bool {
+func (n backendBell) ArmNotify() bool {
+	b := n.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.sh.Ring.Indexes().StoreEvent(b.tail)
 	return b.sh.Ring.Indexes().LoadProd() != b.tail
 }
 
-// suppressNotify withdraws the threshold while the backend actively
+// SuppressNotify withdraws the threshold while the backend actively
 // polls, eliding guest submission doorbells under sustained load.
-func (b *Backend) suppressNotify() {
+func (n backendBell) SuppressNotify() {
+	b := n.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.sh.Ring.Indexes().StoreEvent(b.tail - 1)
 }
 
-// Start launches the service loop.
+// NotifyChan returns the submission doorbell's channel.
+func (n backendBell) NotifyChan() <-chan struct{} { return n.b.sh.SubBell.Chan() }
+
+// Start launches the service loop. It idles on the pumps' ladder (spin,
+// then 20µs doubling to 200µs), armed on the submission bell when the
+// device has one.
 func (b *Backend) Start() {
+	var bell nic.NotifyHost
+	if b.sh.SubBell != nil {
+		bell = backendBell{b}
+	}
+	idler := nic.NewIdler(bell, 20*time.Microsecond, 200*time.Microsecond)
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		notify := b.sh.SubBell != nil
-		idle := 0
-		armed := false
 		for {
 			select {
 			case <-b.stop:
@@ -856,43 +862,10 @@ func (b *Backend) Start() {
 				return
 			}
 			if worked {
-				if armed {
-					b.suppressNotify()
-					armed = false
-				}
-				idle = 0
-				continue
-			}
-			idle++
-			if idle <= backendSpinIdle {
-				continue
-			}
-			d := backendSleepMin
-			for i := backendSpinIdle + 1; i < idle && d < backendSleepMax; i++ {
-				d *= 2
-			}
-			if d > backendSleepMax {
-				d = backendSleepMax
-			}
-			if !notify {
-				time.Sleep(d)
-				continue
-			}
-			if !armed {
-				if b.armNotify() {
-					continue // work raced in while arming: poll again
-				}
-				armed = true
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-b.stop:
-				t.Stop()
+				idler.Worked()
+			} else if !idler.Idle(b.stop) {
 				return
-			case <-b.sh.SubBell.Chan():
-			case <-t.C:
 			}
-			t.Stop()
 		}
 	}()
 }

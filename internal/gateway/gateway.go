@@ -234,6 +234,9 @@ func (g *Gateway) relay(f *flow) {
 		if herr != nil {
 			return
 		}
+		// Count the frame before the reply can reach the tenant, so a
+		// client that has read its echo also sees it accounted.
+		f.tenant.meter.Frame(1)
 		if len(resp) > 0 {
 			// pending/progress bracket the write so the stall watchdog can
 			// see submitted-but-undelivered work (equality-only aging).
@@ -243,7 +246,6 @@ func (g *Gateway) relay(f *flow) {
 			}
 			f.progress.Add(1)
 		}
-		f.tenant.meter.Frame(1)
 		f.tenant.meter.RecordLatency(g.clock().Sub(start))
 	}
 }

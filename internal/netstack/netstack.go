@@ -169,7 +169,9 @@ func (s *Stack) loop() {
 		burst = make([]nic.Frame, rxBurst)
 	}
 	lastTick := time.Now()
-	idle := 0
+	// A fixed 50µs wait with no bell: the loop polls the guest NIC and
+	// the TCP timers alike.
+	idler := nic.NewIdler(nil, 50*time.Microsecond, 50*time.Microsecond)
 	for {
 		select {
 		case <-s.stop:
@@ -236,12 +238,9 @@ func (s *Stack) loop() {
 			lastTick = now
 		}
 		if worked {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle > 64 {
-			time.Sleep(50 * time.Microsecond)
+			idler.Worked()
+		} else if !idler.Idle(s.stop) {
+			return
 		}
 	}
 }

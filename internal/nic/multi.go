@@ -14,7 +14,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"confio/internal/simnet"
 )
@@ -257,21 +256,13 @@ type MultiPump struct {
 // out of the threat model).
 const rxQueueDepth = 2 * pumpBurst
 
-// StartMultiPump begins pumping every queue of hosts against port with
-// the default idle ladder. The per-queue backends must belong to one
-// device (so fate is shared via the transport's latch); hosts must be
-// non-empty.
+// StartMultiPump begins pumping every queue of hosts against port. The
+// per-queue backends must belong to one device (so fate is shared via
+// the transport's latch); hosts must be non-empty.
 func StartMultiPump(hosts []BatchHost, port *simnet.Port) *MultiPump {
-	return StartMultiPumpCfg(hosts, port, DefaultPumpConfig)
-}
-
-// StartMultiPumpCfg is StartMultiPump with an explicit idle-ladder
-// configuration.
-func StartMultiPumpCfg(hosts []BatchHost, port *simnet.Port, cfg PumpConfig) *MultiPump {
 	if len(hosts) == 0 {
 		panic("nic: StartMultiPump needs at least one queue")
 	}
-	cfg = cfg.withDefaults()
 	p := &MultiPump{
 		stop:  make(chan struct{}),
 		perTx: make([]atomic.Uint64, len(hosts)),
@@ -285,12 +276,12 @@ func StartMultiPumpCfg(hosts []BatchHost, port *simnet.Port, cfg PumpConfig) *Mu
 	for i, h := range hosts {
 		p.wg.Add(2)
 		p.running.Add(2)
-		go p.runTX(i, h, port, cfg)
+		go p.runTX(i, h, port)
 		go p.runRXWorker(i, h, chans[i])
 	}
 	p.wg.Add(1)
 	p.running.Add(1)
-	go p.runRX(hosts, port, cfg, chans)
+	go p.runRX(hosts, port, chans)
 	return p
 }
 
@@ -307,19 +298,18 @@ func (p *MultiPump) markDead(q int) {
 	}
 }
 
-// runTX drains one queue's transmit ring onto the wire, with the
-// spin-arm-sleep idle ladder on notify-capable backends.
-func (p *MultiPump) runTX(q int, h BatchHost, port *simnet.Port, cfg PumpConfig) {
+// runTX drains one queue's transmit ring onto the wire, idling on the
+// queue's bell when its backend is notify-capable.
+func (p *MultiPump) runTX(q int, h BatchHost, port *simnet.Port) {
 	defer p.wg.Done()
 	defer p.running.Add(-1)
 	nh, _ := h.(NotifyHost)
+	idler := NewIdler(nh, pumpWaitMin, pumpWaitMax)
 	bufs := make([][]byte, pumpBurst)
 	for i := range bufs {
 		bufs[i] = make([]byte, h.FrameCap())
 	}
 	lens := make([]int, pumpBurst)
-	idle := 0
-	armed := false
 	for {
 		select {
 		case <-p.stop:
@@ -332,43 +322,12 @@ func (p *MultiPump) runTX(q int, h BatchHost, port *simnet.Port, cfg PumpConfig)
 			return // queue (or whole device) is dead; nothing to pump
 		}
 		if n == 0 {
-			idle++
-			if idle <= cfg.SpinIdle {
-				continue
-			}
-			if nh != nil && !armed {
-				if nh.ArmNotify() {
-					continue // work raced in while arming: poll again
-				}
-				armed = true
-			}
-			d := cfg.backoff(idle - cfg.SpinIdle - 1)
-			var bell <-chan struct{}
-			if nh != nil {
-				bell = nh.NotifyChan()
-			}
-			if bell == nil {
-				time.Sleep(d)
-				continue
-			}
-			// Bounded even with a bell armed: the guest decides when
-			// bells ring, never whether this goroutine can be collected.
-			t := time.NewTimer(d)
-			select {
-			case <-p.stop:
-				t.Stop()
+			if !idler.Idle(p.stop) {
 				return
-			case <-bell:
-			case <-t.C:
 			}
-			t.Stop()
 			continue
 		}
-		if armed {
-			nh.SuppressNotify()
-			armed = false
-		}
-		idle = 0
+		idler.Worked()
 		sent := uint64(0)
 		for i := 0; i < n; i++ {
 			if serr := port.Send(bufs[i][:lens[i]]); serr == nil {
@@ -386,7 +345,7 @@ func (p *MultiPump) runTX(q int, h BatchHost, port *simnet.Port, cfg PumpConfig)
 // non-blocking send — a backlogged or dead queue drops its own frames
 // and never stalls steering (or, transitively, any other queue). On
 // exit it closes every channel, which collects the delivery workers.
-func (p *MultiPump) runRX(hosts []BatchHost, port *simnet.Port, cfg PumpConfig, chans []chan []byte) {
+func (p *MultiPump) runRX(hosts []BatchHost, port *simnet.Port, chans []chan []byte) {
 	defer p.wg.Done()
 	defer p.running.Add(-1)
 	defer func() {
@@ -394,7 +353,9 @@ func (p *MultiPump) runRX(hosts []BatchHost, port *simnet.Port, cfg PumpConfig, 
 			close(ch)
 		}
 	}()
-	idle := 0
+	// The wire has no wake channel: a bounded wait is the only idle
+	// option on the steering side.
+	idler := NewIdler(nil, pumpWaitMin, pumpWaitMax)
 	for {
 		select {
 		case <-p.stop:
@@ -421,15 +382,12 @@ func (p *MultiPump) runRX(hosts []BatchHost, port *simnet.Port, cfg PumpConfig, 
 			}
 		}
 		if got == 0 {
-			idle++
-			if idle > cfg.SpinIdle {
-				// The wire has no wake channel: a bounded sleep is the
-				// only idle option on the steering side.
-				time.Sleep(cfg.backoff(idle - cfg.SpinIdle - 1))
+			if !idler.Idle(p.stop) {
+				return
 			}
 			continue
 		}
-		idle = 0
+		idler.Worked()
 	}
 }
 
@@ -465,35 +423,16 @@ func (p *MultiPump) runRXWorker(q int, h BatchHost, ch chan []byte) {
 				break drain
 			}
 		}
-		n := p.deliverQueue(q, h, burst)
+		n, err := pushRetry(h, burst)
+		if errors.Is(err, ErrClosed) {
+			p.markDead(q)
+		}
 		p.rxFrames.Add(uint64(n))
 		p.perRx[q].Add(uint64(n))
 		if p.deadQ[q].Load() {
 			return // queue died mid-delivery: steering stops feeding it
 		}
 	}
-}
-
-// deliverQueue pushes one queue's share of an inbound burst, retrying
-// briefly on transient backpressure then dropping the remainder. A
-// terminal error marks the queue dead so the dispatcher stops feeding it.
-func (p *MultiPump) deliverQueue(q int, h BatchHost, frames [][]byte) int {
-	sent := 0
-	for attempt := 0; attempt < 100 && sent < len(frames); attempt++ {
-		n, err := h.PushBatch(frames[sent:])
-		sent += n
-		if err == nil || n > 0 {
-			continue
-		}
-		if !errors.Is(err, ErrFull) {
-			if errors.Is(err, ErrClosed) {
-				p.markDead(q)
-			}
-			break
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-	return sent
 }
 
 // Counts returns total frames pumped across all queues.

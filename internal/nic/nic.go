@@ -115,64 +115,6 @@ type NotifyHost interface {
 	NotifyChan() <-chan struct{}
 }
 
-// PumpConfig tunes the pump's idle ladder: spin for SpinIdle empty
-// polls, then (on notify-capable transports) arm the wake threshold and
-// sleep in bounded exponential steps from SleepMin to SleepMax. Zero
-// fields take the DefaultPumpConfig values.
-//
-// SleepMax bounds every wait even when a doorbell channel is armed —
-// the simulated wire has no wake channel, and a peer controls when (not
-// whether correctly) bells ring — so inbound traffic is polled at least
-// every SleepMax and a stopped pump always collects.
-type PumpConfig struct {
-	// SpinIdle is how many consecutive empty polls to burn before the
-	// pump starts sleeping (the busy-poll budget).
-	SpinIdle int
-	// SleepMin is the first idle sleep; each further consecutive idle
-	// wait doubles it.
-	SleepMin time.Duration
-	// SleepMax caps the backoff and bounds every bell wait.
-	SleepMax time.Duration
-}
-
-// DefaultPumpConfig preserves the pre-ladder behaviour at the low end
-// (64 spins, 20µs first sleep) while letting a persistently idle pump
-// back off an order of magnitude further.
-var DefaultPumpConfig = PumpConfig{
-	SpinIdle: 64,
-	SleepMin: 20 * time.Microsecond,
-	SleepMax: 200 * time.Microsecond,
-}
-
-func (c PumpConfig) withDefaults() PumpConfig {
-	if c.SpinIdle == 0 {
-		c.SpinIdle = DefaultPumpConfig.SpinIdle
-	}
-	if c.SleepMin == 0 {
-		c.SleepMin = DefaultPumpConfig.SleepMin
-	}
-	if c.SleepMax == 0 {
-		c.SleepMax = DefaultPumpConfig.SleepMax
-	}
-	if c.SleepMax < c.SleepMin {
-		c.SleepMax = c.SleepMin
-	}
-	return c
-}
-
-// backoff returns the nth consecutive idle sleep (n counted from 0),
-// doubling from SleepMin and saturating at SleepMax.
-func (c PumpConfig) backoff(n int) time.Duration {
-	d := c.SleepMin
-	for i := 0; i < n && i < 16 && d < c.SleepMax; i++ {
-		d *= 2
-	}
-	if d > c.SleepMax {
-		d = c.SleepMax
-	}
-	return d
-}
-
 // BufFrame is a trivial Frame over a private byte slice.
 type BufFrame struct {
 	B        []byte
@@ -193,10 +135,10 @@ func (f *BufFrame) Release() {
 	}
 }
 
-// Pump shuttles frames between a Host backend and a simnet port with two
-// polling goroutines, mirroring a host device model thread. Polling is
-// the paper's default (no notifications); the pump backs off briefly
-// when both directions are idle so tests don't burn a core.
+// Pump shuttles frames between a Host backend and a simnet port with one
+// polling goroutine, mirroring a host device model thread. Polling is
+// the paper's default (no notifications); the pump backs off through its
+// Idler when both directions are idle so tests don't burn a core.
 type Pump struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -209,18 +151,12 @@ type Pump struct {
 	running  atomic.Int32
 }
 
-// StartPump begins shuttling between h and port until Stop, with the
-// default idle ladder.
+// StartPump begins shuttling between h and port until Stop.
 func StartPump(h Host, port *simnet.Port) *Pump {
-	return StartPumpCfg(h, port, DefaultPumpConfig)
-}
-
-// StartPumpCfg is StartPump with an explicit idle-ladder configuration.
-func StartPumpCfg(h Host, port *simnet.Port, cfg PumpConfig) *Pump {
 	p := &Pump{stop: make(chan struct{})}
 	p.wg.Add(1)
 	p.running.Add(1)
-	go p.run(h, port, cfg.withDefaults())
+	go p.run(h, port)
 	return p
 }
 
@@ -232,24 +168,51 @@ func (p *Pump) Running() int { return int(p.running.Load()) }
 // pumpBurst bounds the frames moved per direction per loop iteration.
 const pumpBurst = 64
 
-func (p *Pump) run(h Host, port *simnet.Port, cfg PumpConfig) {
+// The pumps' idle ladder: the first wait after the spin budget, doubling
+// per further idle wait up to the cap. The cap bounds every bell wait —
+// the simulated wire has no wake channel, and the guest controls when
+// bells ring — so it is the worst-case added latency either can impose.
+const (
+	pumpWaitMin = 20 * time.Microsecond
+	pumpWaitMax = 200 * time.Microsecond
+)
+
+// singleHost adapts a plain Host to BatchHost by moving one frame per
+// call, so non-batch backends keep their per-frame pacing.
+type singleHost struct{ Host }
+
+func (s singleHost) PopBatch(bufs [][]byte, lens []int) (int, error) {
+	n, err := s.Pop(bufs[0])
+	if err != nil {
+		return 0, err
+	}
+	lens[0] = n
+	return 1, nil
+}
+
+func (s singleHost) PushBatch(frames [][]byte) (int, error) {
+	if err := s.Push(frames[0]); err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+func (p *Pump) run(h Host, port *simnet.Port) {
 	defer p.wg.Done()
 	defer p.running.Add(-1)
-	bh, _ := h.(BatchHost)
 	nh, _ := h.(NotifyHost)
-	var bufs [][]byte
-	var lens []int
-	if bh != nil {
-		bufs = make([][]byte, pumpBurst)
-		for i := range bufs {
-			bufs[i] = make([]byte, h.FrameCap())
-		}
-		lens = make([]int, pumpBurst)
+	idler := NewIdler(nh, pumpWaitMin, pumpWaitMax)
+	bh, ok := h.(BatchHost)
+	burst := pumpBurst
+	if !ok {
+		bh, burst = singleHost{h}, 1
 	}
-	buf := make([]byte, h.FrameCap())
+	bufs := make([][]byte, burst)
+	for i := range bufs {
+		bufs[i] = make([]byte, h.FrameCap())
+	}
+	lens := make([]int, burst)
 	inbound := make([][]byte, 0, pumpBurst)
-	idle := 0
-	armed := false
 	for {
 		select {
 		case <-p.stop:
@@ -258,33 +221,23 @@ func (p *Pump) run(h Host, port *simnet.Port, cfg PumpConfig) {
 		}
 		worked := false
 
-		// Guest -> network: drain a burst of transmit frames with one
-		// batched pop when the backend supports it. A terminal backend
-		// error (ErrClosed: the device fail-deaded) collects the pump —
-		// polling a dead device forever would leak this goroutine until
-		// someone remembered to call Stop.
-		if bh != nil {
-			n, err := bh.PopBatch(bufs, lens)
-			if err != nil && !errors.Is(err, ErrEmpty) {
-				return
-			}
-			if n > 0 {
-				sent := uint64(0)
-				for i := 0; i < n; i++ {
-					if serr := port.Send(bufs[i][:lens[i]]); serr == nil {
-						sent++
-					}
-				}
-				p.txFrames.Add(sent)
-				worked = true
-			}
-		} else if n, err := h.Pop(buf); err == nil {
-			if serr := port.Send(buf[:n]); serr == nil {
-				p.txFrames.Add(1)
-			}
-			worked = true
-		} else if !errors.Is(err, ErrEmpty) {
+		// Guest -> network: drain a burst of transmit frames. A terminal
+		// backend error (ErrClosed: the device fail-deaded) collects the
+		// pump — polling a dead device forever would leak this goroutine
+		// until someone remembered to call Stop.
+		n, err := bh.PopBatch(bufs, lens)
+		if err != nil && !errors.Is(err, ErrEmpty) {
 			return
+		}
+		if n > 0 {
+			sent := uint64(0)
+			for i := 0; i < n; i++ {
+				if serr := port.Send(bufs[i][:lens[i]]); serr == nil {
+					sent++
+				}
+			}
+			p.txFrames.Add(sent)
+			worked = true
 		}
 
 		// Network -> guest: collect whatever the wire delivered, then
@@ -298,86 +251,37 @@ func (p *Pump) run(h Host, port *simnet.Port, cfg PumpConfig) {
 			inbound = append(inbound, f)
 		}
 		if len(inbound) > 0 {
-			p.deliver(h, bh, inbound)
+			sent, _ := pushRetry(bh, inbound)
+			p.rxFrames.Add(uint64(sent))
 			worked = true
 		}
 
 		if worked {
-			if armed {
-				nh.SuppressNotify()
-				armed = false
-			}
-			idle = 0
-			continue
-		}
-
-		// Idle ladder: spin the busy-poll budget, then arm the wake
-		// threshold (with the lost-wakeup recheck) and sleep in bounded
-		// exponential steps. The bell wait is always time-bounded: the
-		// wire side has no wake channel, and the guest controls when
-		// bells ring — SleepMax is the worst-case added latency either
-		// can impose.
-		idle++
-		if idle <= cfg.SpinIdle {
-			continue
-		}
-		if nh != nil && !armed {
-			if nh.ArmNotify() {
-				continue // work raced in while arming: poll again
-			}
-			armed = true
-		}
-		d := cfg.backoff(idle - cfg.SpinIdle - 1)
-		var bell <-chan struct{}
-		if nh != nil {
-			bell = nh.NotifyChan()
-		}
-		if bell == nil {
-			time.Sleep(d)
-			continue
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-p.stop:
-			t.Stop()
+			idler.Worked()
+		} else if !idler.Idle(p.stop) {
 			return
-		case <-bell:
-		case <-t.C:
 		}
-		t.Stop()
 	}
 }
 
-// deliver pushes a burst toward the guest, retrying briefly on transient
-// backpressure and then dropping the remainder (DoS is out of scope,
-// drops are the device's prerogative).
-func (p *Pump) deliver(h Host, bh BatchHost, frames [][]byte) {
+// pushRetry pushes a burst toward the guest, retrying briefly on
+// transient backpressure and then dropping the remainder (DoS is out of
+// scope, drops are the device's prerogative). It returns how many frames
+// were accepted and the terminal error that ended the burst, if any.
+func pushRetry(h BatchHost, frames [][]byte) (int, error) {
 	sent := 0
 	for attempt := 0; attempt < 100 && sent < len(frames); attempt++ {
-		if bh != nil {
-			n, err := bh.PushBatch(frames[sent:])
-			sent += n
-			if err == nil || n > 0 {
-				continue // progress: try the remainder immediately
-			}
-			if !errors.Is(err, ErrFull) {
-				break
-			}
-		} else {
-			err := h.Push(frames[sent])
-			if err == nil {
-				sent++
-				continue
-			}
-			if !errors.Is(err, ErrFull) {
-				break
-			}
+		n, err := h.PushBatch(frames[sent:])
+		sent += n
+		if err == nil || n > 0 {
+			continue // progress: try the remainder immediately
+		}
+		if !errors.Is(err, ErrFull) {
+			return sent, err
 		}
 		time.Sleep(10 * time.Microsecond)
 	}
-	if sent > 0 {
-		p.rxFrames.Add(uint64(sent))
-	}
+	return sent, nil
 }
 
 // Counts returns frames pumped (tx = guest->net, rx = net->guest).

@@ -35,7 +35,11 @@ func (descCodec) Encode(r *Ring, idx uint64, d Desc) { r.WriteDesc(idx, d) }
 // which all operations return ErrDead. There are no recoverable interface
 // errors and no renegotiation — the stateless principle.
 type Endpoint struct {
+	// sh is replaced by Swap and Reincarnate, so it is read under mu.
+	// cfg is its immutable configuration, copied at construction so
+	// readers need not take mu.
 	sh    *Shared
+	cfg   DeviceConfig
 	meter *platform.Meter
 	// latch, when non-nil, is the device-wide fail-dead state of the
 	// multi-queue device this endpoint is one queue of: a violation on
@@ -89,7 +93,7 @@ func New(cfg DeviceConfig, meter *platform.Meter) (*Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Endpoint{sh: sh, meter: meter}
+	e := &Endpoint{sh: sh, cfg: cfg, meter: meter}
 	e.txHandles = make([][]shmem.Handle, cfg.Slots)
 	e.tx = NewEngine[Desc](sh.TX, sh.TXBell, descCodec{}, meter,
 		EngineHooks[Desc]{OnReturn: e.txReturn, Fail: e.fail})
@@ -124,7 +128,7 @@ func (e *Endpoint) Shared() *Shared {
 }
 
 // Config returns the immutable device configuration.
-func (e *Endpoint) Config() DeviceConfig { return e.sh.Cfg }
+func (e *Endpoint) Config() DeviceConfig { return e.cfg }
 
 // Dead returns the fatal error that killed the endpoint, if any. On a
 // multi-queue device a violation on any sibling queue counts: the whole
@@ -201,8 +205,8 @@ func (e *Endpoint) deadOpLocked() error {
 
 // checkFrame validates a frame size against the fixed geometry.
 func (e *Endpoint) checkFrame(frame []byte) error {
-	if len(frame) > e.sh.Cfg.FrameCap() {
-		return fmt.Errorf("%w: %d > %d", ErrFrameSize, len(frame), e.sh.Cfg.FrameCap())
+	if len(frame) > e.cfg.FrameCap() {
+		return fmt.Errorf("%w: %d > %d", ErrFrameSize, len(frame), e.cfg.FrameCap())
 	}
 	if len(frame) == 0 {
 		return fmt.Errorf("%w: empty frame", ErrFrameSize)
@@ -672,7 +676,11 @@ func (e *Endpoint) RecvBatch(out []*RxFrame) (int, error) {
 
 // RXBell returns the doorbell the host rings when frames arrive, or nil
 // in polling mode. Guest receive loops may select on its channel.
-func (e *Endpoint) RXBell() *Doorbell { return e.sh.RXBell }
+func (e *Endpoint) RXBell() *Doorbell {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sh.RXBell
+}
 
 // ArmRXNotify publishes the guest's receive wake threshold (event
 // index): under EventIdx the host rings RXBell only once its producer
@@ -708,7 +716,7 @@ func (e *Endpoint) SuppressRXNotify() {
 // that lies about (or ignores) the event index controls when the bell
 // rings, never what state the ring is in.
 func (e *Endpoint) RecvPoll() (*RxFrame, error) {
-	spins := e.sh.Cfg.BusyPoll
+	spins := e.cfg.BusyPoll
 	for i := 0; ; i++ {
 		fr, err := e.Recv()
 		if err == nil || !errors.Is(err, ErrRingEmpty) {
@@ -718,7 +726,7 @@ func (e *Endpoint) RecvPoll() (*RxFrame, error) {
 			break
 		}
 	}
-	if e.sh.Cfg.EventIdx && e.ArmRXNotify() {
+	if e.cfg.EventIdx && e.ArmRXNotify() {
 		// Work raced in while arming: deliver it rather than asking the
 		// caller to block on a bell that may never ring for it.
 		return e.Recv()

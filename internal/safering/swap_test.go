@@ -228,3 +228,40 @@ type rd struct {
 func (r rd) Read(p []byte) (int, error) { return r.c.Read(p) }
 
 func readerFor(c interface{ Read([]byte) (int, error) }) io.Reader { return rd{c} }
+
+// TestSwapRacesUnlockedAccessors: a running stack calls Config, RXBell
+// and RecvPoll from its own goroutine while the control plane swaps the
+// device. Under -race this catches any read of the replaced shared state
+// outside the endpoint's lock.
+func TestSwapRacesUnlockedAccessors(t *testing.T) {
+	cfg := safering.DefaultConfig()
+	cfg.Notify = true
+	cfg.EventIdx = true
+	ep, err := safering.New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = ep.Config().FrameCap()
+			_ = ep.RXBell()
+			if fr, err := ep.RecvPoll(); err == nil {
+				fr.Release()
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if _, err := ep.Swap(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+}

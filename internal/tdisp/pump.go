@@ -3,6 +3,8 @@ package tdisp
 import (
 	"sync"
 	"time"
+
+	"confio/internal/nic"
 )
 
 // Pump runs a device's data-path firmware loop until stopped or until
@@ -21,7 +23,7 @@ func StartPump(d *Device) *Pump {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		idle := 0
+		idler := nic.NewIdler(nil, 20*time.Microsecond, 20*time.Microsecond)
 		for {
 			select {
 			case <-p.stop:
@@ -36,12 +38,9 @@ func StartPump(d *Device) *Pump {
 				return
 			}
 			if worked {
-				idle = 0
-				continue
-			}
-			idle++
-			if idle > 64 {
-				time.Sleep(20 * time.Microsecond)
+				idler.Worked()
+			} else if !idler.Idle(p.stop) {
+				return
 			}
 		}
 	}()
