@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages exercised under the race detector: the ones with real
 # cross-goroutine shared state (rings, slab pools, the core datapath).
-RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway
+RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack ./internal/ctls
 
 .PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt perfbench bench bench-mq bench-blk bench-notify bench-gw chaos check
 

@@ -844,7 +844,7 @@ func (b *Backend) Start() {
 	if b.sh.SubBell != nil {
 		bell = backendBell{b}
 	}
-	idler := nic.NewIdler(bell, 20*time.Microsecond, 200*time.Microsecond)
+	idler := nic.NewIdler(20*time.Microsecond, 200*time.Microsecond, bell)
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()

@@ -209,19 +209,44 @@ func handshake(rw io.ReadWriter, psk []byte, meter *platform.Meter, client bool)
 	}
 
 	// Finished: both sides prove PSK possession and transcript agreement
-	// under the new keys.
+	// under the new keys. The client writes first and then reads; the
+	// server reads first and then writes, so when Client returns the
+	// server has already opened the client's Finished — the handshake
+	// leaves no work running behind the initiator's back.
 	fin := hkdfExpand(master, "finished", 32)
-	if err := c.writeRecord(recFinished, fin); err != nil {
-		return nil, err
+	if client {
+		if err := c.writeRecord(recFinished, fin); err != nil {
+			return nil, err
+		}
+		if err := c.readFinished(fin); err != nil {
+			return nil, err
+		}
+		return c, nil
 	}
-	typ, body, err := c.readRecord()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
+	ferr := c.readFinished(fin)
+	// Answer even when the client's Finished failed: a peer with the
+	// wrong PSK must fail on its own read (ErrAuth), not block waiting.
+	// A failed read latched c.dead, so seal past the latch.
+	if err := c.sealRecord(recFinished, fin); err != nil && ferr == nil {
+		ferr = err
 	}
-	if typ != recFinished || !hmac.Equal(body, fin) {
-		return nil, fmt.Errorf("%w: finished verification", ErrHandshake)
+	if ferr != nil {
+		return nil, ferr
 	}
 	return c, nil
+}
+
+// readFinished reads the peer's Finished record and checks it against
+// the expected MAC.
+func (c *Conn) readFinished(fin []byte) error {
+	typ, body, err := c.readRecord()
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrHandshake, err)
+	}
+	if typ != recFinished || !hmac.Equal(body, fin) {
+		return fmt.Errorf("%w: finished verification", ErrHandshake)
+	}
+	return nil
 }
 
 // writeRaw emits an unencrypted handshake record: type | len | body.
@@ -255,6 +280,11 @@ func (c *Conn) writeRecord(typ byte, plaintext []byte) error {
 	if c.dead != nil {
 		return c.dead
 	}
+	return c.sealRecord(typ, plaintext)
+}
+
+// sealRecord is writeRecord without the dead-connection check.
+func (c *Conn) sealRecord(typ byte, plaintext []byte) error {
 	if len(plaintext) > MaxPlaintext {
 		return ErrTooLarge
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"confio/internal/platform"
 )
@@ -332,5 +333,41 @@ func TestMeterCountsCrypto(t *testing.T) {
 	io.ReadFull(srv, make([]byte, 1000))
 	if m.Snapshot().CryptoBytes < 1000 {
 		t.Fatalf("CryptoBytes = %d", m.Snapshot().CryptoBytes)
+	}
+}
+
+// slowEnd delays every read, widening any window in which one side of
+// the handshake still has work running after the other returned.
+type slowEnd struct {
+	*end
+	delay time.Duration
+}
+
+func (s slowEnd) Read(p []byte) (int, error) {
+	time.Sleep(s.delay)
+	return s.end.Read(p)
+}
+
+// TestClientReturnsAfterServerOpenedFinished pins the Finished order:
+// the server opens the client's Finished before it answers, so by the
+// time Client returns both seals and both opens of the two 32-byte
+// Finished records are on a meter the two ends share — even when the
+// server is slow to read.
+func TestClientReturnsAfterServerOpenedFinished(t *testing.T) {
+	var m platform.Meter
+	a, b := newDuplexPair()
+	srvDone := make(chan error, 1)
+	go func() {
+		_, err := Server(slowEnd{b, 20 * time.Millisecond}, psk, &m)
+		srvDone <- err
+	}()
+	if _, err := Client(a, psk, &m); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot().CryptoBytes; got != 4*32 {
+		t.Fatalf("CryptoBytes = %d when Client returned, want %d (two seals, two opens)", got, 4*32)
+	}
+	if err := <-srvDone; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -169,9 +169,11 @@ func (s *Stack) loop() {
 		burst = make([]nic.Frame, rxBurst)
 	}
 	lastTick := time.Now()
-	// A fixed 50µs wait with no bell: the loop polls the guest NIC and
-	// the TCP timers alike.
-	idler := nic.NewIdler(nil, 50*time.Microsecond, 50*time.Microsecond)
+	// A fixed 50µs wait, cut short when the NIC is a wake source and the
+	// host publishes receive work: the loop polls the guest NIC and the
+	// TCP timers alike.
+	wake, _ := s.g.(nic.NotifyHost)
+	idler := nic.NewIdler(50*time.Microsecond, 50*time.Microsecond, wake)
 	for {
 		select {
 		case <-s.stop:

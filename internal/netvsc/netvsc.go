@@ -105,15 +105,15 @@ func (c Config) Validate() error {
 
 func (c Config) maxPayload() int { return c.MTU + 64 }
 
-// ring is one direction of the vmbus channel: a byte ring with
-// producer/consumer byte offsets. Offsets are modelled as atomics
-// (shared cache lines); message bytes live in the masked shared region.
+// ring is one vmbus channel direction: message bytes in the masked shared
+// region, atomic byte offsets (shared cache lines) and a monitor on prod.
 type ring struct {
 	mem *shmem.Region
 	//ciovet:shared producer byte position (monotonic), peer-advanced
 	prod atomic.Uint64
 	//ciovet:shared consumer byte position (monotonic), peer-advanced
-	cons atomic.Uint64
+	cons  atomic.Uint64
+	moved chan struct{} // see storeProd
 }
 
 func newRing(bytes int) (*ring, error) {
@@ -121,7 +121,7 @@ func newRing(bytes int) (*ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ring{mem: mem}, nil
+	return &ring{mem: mem, moved: make(chan struct{}, 1)}, nil
 }
 
 func align8(n int) int { return (n + 7) &^ 7 }
@@ -156,7 +156,7 @@ func (ch *Channel) InMem() *shmem.Region { return ch.In.mem }
 
 // ForgeInProd lets a malicious host publish an arbitrary inbound
 // producer offset.
-func (ch *Channel) ForgeInProd(v uint64) { ch.In.prod.Store(v) }
+func (ch *Channel) ForgeInProd(v uint64) { ch.In.storeProd(v) }
 
 // InProd returns the inbound producer offset.
 func (ch *Channel) InProd() uint64 { return ch.In.prod.Load() }
@@ -271,7 +271,7 @@ func (d *Driver) Send(frame []byte) error {
 	}
 	d.meter.Copy(len(frame))
 	d.outProd = newProd
-	d.ch.Out.prod.Store(newProd)
+	d.ch.Out.storeProd(newProd)
 	d.nextXact++
 	d.pending[slot] = true
 	d.inflight++
@@ -346,10 +346,10 @@ func (d *Driver) Recv() (*RxFrame, error) {
 			return nil, d.dead
 		}
 		prod := d.ch.In.prod.Load()
-		d.meter.Check(1)
 		if prod == d.inCons {
-			return nil, ErrEmpty
+			return nil, d.emptyPoll()
 		}
+		d.meter.Check(1)
 		if prod-d.inCons > uint64(d.cfg.RingBytes) {
 			if d.cfg.Hardening.Checks {
 				d.blocked++
@@ -496,7 +496,7 @@ func (h *Host) Pop(buf []byte) (int, error) {
 		return 0, ErrFull
 	}
 	h.inProd = newProd
-	h.ch.In.prod.Store(newProd)
+	h.ch.In.storeProd(newProd)
 	h.meter.Notify(1)
 	h.meter.CrossTEE(1)
 	return int(plen), nil
@@ -514,10 +514,31 @@ func (h *Host) Push(frame []byte) error {
 		return ErrFull
 	}
 	h.inProd = newProd
-	h.ch.In.prod.Store(newProd)
+	h.ch.In.storeProd(newProd)
 	h.meter.Notify(1)
 	h.meter.CrossTEE(1)
 	return nil
+}
+
+// emptyPoll meters a receive poll that found the inbound producer where
+// the driver left it: an empty poll, not a validation check, so modelled
+// cost does not grow with how often an idle loop polls.
+func (d *Driver) emptyPoll() error {
+	d.meter.EmptyPoll(1)
+	return ErrEmpty
+}
+
+// storeProd publishes the producer offset and trips the monitor on it:
+// moved models a monitor armed on prod's cache line, so every producer
+// store leaves one coalescing token that an idle consumer waits on
+// instead of a clock. The send never blocks. A hint only — every poll
+// still parses the ring.
+func (r *ring) storeProd(v uint64) {
+	r.prod.Store(v)
+	select {
+	case r.moved <- struct{}{}:
+	default:
+	}
 }
 
 // --- nic adapters ---
@@ -557,6 +578,21 @@ func (g guestNIC) Recv() (nic.Frame, error) {
 func (g guestNIC) MAC() [6]byte { return g.d.cfg.MAC }
 func (g guestNIC) MTU() int     { return g.d.cfg.MTU }
 
+// ArmNotify implements nic.NotifyHost for the receive side. The channel
+// has no wake threshold to publish, so arming is the lost-wakeup
+// recheck alone: has the inbound producer moved past the driver?
+func (g guestNIC) ArmNotify() bool {
+	g.d.mu.Lock()
+	defer g.d.mu.Unlock()
+	return g.d.ch.In.prod.Load() != g.d.inCons
+}
+
+// SuppressNotify implements nic.NotifyHost; there is nothing to withdraw.
+func (g guestNIC) SuppressNotify() {}
+
+// NotifyChan implements nic.NotifyHost: the inbound producer's monitor.
+func (g guestNIC) NotifyChan() <-chan struct{} { return g.d.ch.In.moved }
+
 type hostNIC struct{ h *Host }
 
 // NIC returns the host endpoint's nic.Host view.
@@ -579,3 +615,17 @@ func (n hostNIC) Push(frame []byte) error {
 }
 
 func (n hostNIC) FrameCap() int { return n.h.cfg.maxPayload() }
+
+// ArmNotify implements nic.NotifyHost for the transmit side: the
+// lost-wakeup recheck of the outbound producer.
+func (n hostNIC) ArmNotify() bool {
+	n.h.mu.Lock()
+	defer n.h.mu.Unlock()
+	return n.h.ch.Out.prod.Load() != n.h.outCons
+}
+
+// SuppressNotify implements nic.NotifyHost; there is nothing to withdraw.
+func (n hostNIC) SuppressNotify() {}
+
+// NotifyChan implements nic.NotifyHost: the outbound producer's monitor.
+func (n hostNIC) NotifyChan() <-chan struct{} { return n.h.ch.Out.moved }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"confio/internal/nic"
 	"confio/internal/platform"
 )
 
@@ -379,5 +380,68 @@ func TestMemInitScrubsConsumedRing(t *testing.T) {
 	d1.Channel().OutMem().ReadAt(gone, headerBytes)
 	if bytes.Contains(gone, []byte("LINGERING-SECRET")) {
 		t.Fatal("MemInit did not scrub the consumed ring")
+	}
+}
+
+// tokens drains a monitor without blocking and reports how many tokens
+// it held.
+func tokens(ch <-chan struct{}) int {
+	n := 0
+	for {
+		select {
+		case <-ch:
+			n++
+		default:
+			return n
+		}
+	}
+}
+
+// TestProducerMonitorsWakeBothSides: the driver's outbound publication
+// wakes the host's transmit loop and every inbound publication (data or
+// completion) wakes the driver's receive loop.
+func TestProducerMonitorsWakeBothSides(t *testing.T) {
+	d, host := pair(t, FullHardening())
+	g := d.NIC().(nic.NotifyHost)
+	h := host.NIC().(nic.NotifyHost)
+	if n, m := tokens(g.NotifyChan()), tokens(h.NotifyChan()); n != 0 || m != 0 {
+		t.Fatalf("idle channel holds %d guest and %d host tokens", n, m)
+	}
+	if g.ArmNotify() || h.ArmNotify() {
+		t.Fatal("idle channel reported waiting work")
+	}
+	if err := d.Send(mkFrame(64, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if tokens(h.NotifyChan()) != 1 || !h.ArmNotify() {
+		t.Fatal("driver send did not wake the host")
+	}
+	buf := make([]byte, 2048)
+	if _, err := host.Pop(buf); err != nil {
+		t.Fatal(err)
+	}
+	if h.ArmNotify() {
+		t.Fatal("host reports work after draining")
+	}
+	// The host's completion is inbound traffic: it wakes the driver.
+	if tokens(g.NotifyChan()) != 1 || !g.ArmNotify() {
+		t.Fatal("completion did not wake the driver")
+	}
+	if _, err := d.Recv(); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("Recv after a lone completion: %v", err)
+	}
+	if err := host.Push(mkFrame(64, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if tokens(g.NotifyChan()) != 1 || !g.ArmNotify() {
+		t.Fatal("host push did not wake the driver")
+	}
+	fr, err := d.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Release()
+	if g.ArmNotify() {
+		t.Fatal("driver reports work after draining")
 	}
 }

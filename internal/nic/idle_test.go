@@ -61,13 +61,13 @@ func timedIdle(i *Idler, stop <-chan struct{}) (bool, time.Duration) {
 func TestIdlerArmRacePollsAgain(t *testing.T) {
 	bell := newFakeBell()
 	bell.raced = true
-	i := NewIdler(bell, long, long)
+	i := NewIdler(long, long, bell)
 	stop := make(chan struct{})
 	spinDown(t, i, stop)
 	if ok, d := timedIdle(i, stop); !ok || d > long/2 {
 		t.Fatalf("Idle after a raced arm = %v after %v, want an immediate true", ok, d)
 	}
-	if bell.arms != 1 || i.armed {
+	if bell.arms != 1 || i.armed[0] {
 		t.Fatalf("arms = %d, armed = %v: want one attempt and left unarmed", bell.arms, i.armed)
 	}
 	i.Worked()
@@ -79,7 +79,7 @@ func TestIdlerArmRacePollsAgain(t *testing.T) {
 func TestIdlerWaitBoundedByMax(t *testing.T) {
 	const lo, hi = 2 * time.Millisecond, 8 * time.Millisecond
 	forEachBell(t, func(t *testing.T, bell NotifyHost) {
-		i := NewIdler(bell, lo, hi)
+		i := NewIdler(lo, hi, bell)
 		stop := make(chan struct{})
 		spinDown(t, i, stop)
 		// 2, 4, 8, 8 ms: the ladder doubles and then holds at max.
@@ -99,7 +99,7 @@ func TestIdlerWaitBoundedByMax(t *testing.T) {
 
 func TestIdlerRingWakesBeforeTimer(t *testing.T) {
 	bell := newFakeBell()
-	i := NewIdler(bell, long, long)
+	i := NewIdler(long, long, bell)
 	stop := make(chan struct{})
 	spinDown(t, i, stop)
 	go func() {
@@ -116,7 +116,7 @@ func TestIdlerRingWakesBeforeTimer(t *testing.T) {
 
 func TestIdlerWorkedSuppressesOnceAfterArming(t *testing.T) {
 	bell := newFakeBell()
-	i := NewIdler(bell, time.Microsecond, time.Microsecond)
+	i := NewIdler(time.Microsecond, time.Microsecond, bell)
 	stop := make(chan struct{})
 	i.Worked()
 	if bell.suppresses != 0 {
@@ -143,7 +143,7 @@ func TestIdlerWorkedSuppressesOnceAfterArming(t *testing.T) {
 
 func TestIdlerStopEndsWait(t *testing.T) {
 	forEachBell(t, func(t *testing.T, bell NotifyHost) {
-		i := NewIdler(bell, long, long)
+		i := NewIdler(long, long, bell)
 		stop := make(chan struct{})
 		spinDown(t, i, stop)
 		go func() {
@@ -158,7 +158,7 @@ func TestIdlerStopEndsWait(t *testing.T) {
 
 func TestIdlerWaitDoesNotAllocate(t *testing.T) {
 	forEachBell(t, func(t *testing.T, bell NotifyHost) {
-		i := NewIdler(bell, time.Microsecond, time.Microsecond)
+		i := NewIdler(time.Microsecond, time.Microsecond, bell)
 		stop := make(chan struct{})
 		spinDown(t, i, stop)
 		i.Idle(stop) // the first wait builds the timer
@@ -166,4 +166,96 @@ func TestIdlerWaitDoesNotAllocate(t *testing.T) {
 			t.Fatalf("Idle allocates %v per wait, want 0", a)
 		}
 	})
+}
+
+// Two wake sources: a host pump waits on its backend's ring and on its
+// wire port at once.
+
+func TestIdlerEitherSourceWakes(t *testing.T) {
+	for k := 0; k < 2; k++ {
+		bells := [2]*fakeBell{newFakeBell(), newFakeBell()}
+		i := NewIdler(long, long, bells[0], bells[1])
+		stop := make(chan struct{})
+		spinDown(t, i, stop)
+		go func() {
+			time.Sleep(time.Millisecond)
+			bells[k].ring()
+		}()
+		if ok, d := timedIdle(i, stop); !ok || d > long/2 {
+			t.Fatalf("source %d rang: Idle = %v after %v, want a prompt wake", k, ok, d)
+		}
+		if bells[0].arms != 1 || bells[1].arms != 1 {
+			t.Fatalf("source %d rang: arms = %d, %d before the wait, want 1 each", k, bells[0].arms, bells[1].arms)
+		}
+	}
+}
+
+func TestIdlerEitherArmRacePollsAgain(t *testing.T) {
+	for k := 0; k < 2; k++ {
+		bells := [2]*fakeBell{newFakeBell(), newFakeBell()}
+		bells[k].raced = true
+		i := NewIdler(long, long, bells[0], bells[1])
+		stop := make(chan struct{})
+		spinDown(t, i, stop)
+		if ok, d := timedIdle(i, stop); !ok || d > long/2 {
+			t.Fatalf("source %d raced: Idle = %v after %v, want an immediate true", k, ok, d)
+		}
+		if i.armed[k] {
+			t.Fatalf("source %d raced but was left armed", k)
+		}
+		// Sources are armed in order: one armed before the raced one
+		// stays armed, so Worked withdraws exactly its threshold.
+		i.Worked()
+		for j, b := range bells {
+			want := 0
+			if j < k {
+				want = 1
+			}
+			if b.suppresses != want {
+				t.Fatalf("source %d raced: source %d suppressed %d times, want %d", k, j, b.suppresses, want)
+			}
+		}
+	}
+}
+
+func TestIdlerWorkedSuppressesEachArmedSourceOnce(t *testing.T) {
+	a, b := newFakeBell(), newFakeBell()
+	i := NewIdler(time.Microsecond, time.Microsecond, a, b)
+	stop := make(chan struct{})
+	spinDown(t, i, stop)
+	for n := 0; n < 3; n++ {
+		i.Idle(stop)
+	}
+	if a.arms != 1 || b.arms != 1 {
+		t.Fatalf("arms = %d, %d over three waits, want 1 each (stay armed)", a.arms, b.arms)
+	}
+	i.Worked()
+	i.Worked()
+	if a.suppresses != 1 || b.suppresses != 1 {
+		t.Fatalf("suppresses = %d, %d, want exactly 1 each", a.suppresses, b.suppresses)
+	}
+}
+
+func TestIdlerSkipsNilSources(t *testing.T) {
+	bell := newFakeBell()
+	i := NewIdler(long, long, nil, bell)
+	stop := make(chan struct{})
+	spinDown(t, i, stop)
+	go func() {
+		time.Sleep(time.Millisecond)
+		bell.ring()
+	}()
+	if ok, d := timedIdle(i, stop); !ok || d > long/2 {
+		t.Fatalf("Idle = %v after %v, want the non-nil source to wake it", ok, d)
+	}
+}
+
+func TestIdlerTwoSourceWaitDoesNotAllocate(t *testing.T) {
+	i := NewIdler(time.Microsecond, time.Microsecond, newFakeBell(), newFakeBell())
+	stop := make(chan struct{})
+	spinDown(t, i, stop)
+	i.Idle(stop) // the first wait builds the timer
+	if a := testing.AllocsPerRun(100, func() { i.Idle(stop) }); a != 0 {
+		t.Fatalf("Idle allocates %v per wait, want 0", a)
+	}
 }

@@ -299,12 +299,12 @@ func (p *MultiPump) markDead(q int) {
 }
 
 // runTX drains one queue's transmit ring onto the wire, idling on the
-// queue's bell when its backend is notify-capable.
+// queue's wake source when its backend has one.
 func (p *MultiPump) runTX(q int, h BatchHost, port *simnet.Port) {
 	defer p.wg.Done()
 	defer p.running.Add(-1)
 	nh, _ := h.(NotifyHost)
-	idler := NewIdler(nh, pumpWaitMin, pumpWaitMax)
+	idler := NewIdler(pumpWaitMin, pumpWaitMax, nh)
 	bufs := make([][]byte, pumpBurst)
 	for i := range bufs {
 		bufs[i] = make([]byte, h.FrameCap())
@@ -353,9 +353,8 @@ func (p *MultiPump) runRX(hosts []BatchHost, port *simnet.Port, chans []chan []b
 			close(ch)
 		}
 	}()
-	// The wire has no wake channel: a bounded wait is the only idle
-	// option on the steering side.
-	idler := NewIdler(nil, pumpWaitMin, pumpWaitMax)
+	// The steering side idles on the wire: delivery to the port wakes it.
+	idler := NewIdler(pumpWaitMin, pumpWaitMax, port)
 	for {
 		select {
 		case <-p.stop:

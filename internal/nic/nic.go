@@ -90,28 +90,31 @@ type BatchHost interface {
 	PushBatch(frames [][]byte) (int, error)
 }
 
-// NotifyHost is a Host whose transport supports event-idx notification
-// suppression: the backend can publish a wake threshold ("ring me only
-// when new transmit work crosses my consumer position") instead of
-// taking a doorbell per batch. The pump uses it to trade boundary
-// crossings for a short arming handshake at the idle edge.
+// NotifyHost is a wake source for a polling loop: something that can
+// tell an idle loop its work has arrived. A ring consumer (a host
+// backend draining guest transmits, a guest draining host receives)
+// publishes a wake threshold ("wake me only when new work crosses my
+// consumer position") and then waits on a doorbell or on a monitor of
+// the producer index; the simulated wire's port is a wake source for
+// the pump that drains it. Loops trade an arming handshake at the idle
+// edge for not sleeping through their work.
 //
-// The channel and the threshold are hints, never trusted state: a guest
-// that lies about (or ignores) the event index can delay the wakeup,
-// which is why every wait on NotifyChan must be time-bounded. It can
-// never corrupt the ring — consuming work still goes through the
-// validated Pop path.
+// The channel and the threshold are hints, never trusted state: a peer
+// that lies about (or ignores) the event index can delay the wakeup or
+// cause a spurious one, which is why every wait on NotifyChan must be
+// time-bounded. It can never corrupt the ring — consuming work still
+// goes through the validated Pop/Recv path.
 type NotifyHost interface {
 	// ArmNotify publishes the wake threshold at the current consumer
 	// position and reports whether work is already waiting (the
 	// lost-wakeup recheck): true means poll again instead of blocking.
 	ArmNotify() bool
-	// SuppressNotify withdraws the threshold while the pump actively
+	// SuppressNotify withdraws the threshold while the loop actively
 	// polls, eliding peer doorbells under sustained load.
 	SuppressNotify()
-	// NotifyChan returns the doorbell trigger to wait on, or nil when
-	// the transport runs without doorbells. Re-fetched before every
-	// wait: reincarnation replaces the bell.
+	// NotifyChan returns the wake trigger to wait on, or nil when the
+	// source has none. Re-fetched before every wait: reincarnation
+	// replaces it.
 	NotifyChan() <-chan struct{}
 }
 
@@ -137,8 +140,9 @@ func (f *BufFrame) Release() {
 
 // Pump shuttles frames between a Host backend and a simnet port with one
 // polling goroutine, mirroring a host device model thread. Polling is
-// the paper's default (no notifications); the pump backs off through its
-// Idler when both directions are idle so tests don't burn a core.
+// the paper's default (no notifications); when both directions are idle
+// the pump waits through its Idler, woken by the backend's ring or by a
+// frame arriving on the wire, so tests don't burn a core.
 type Pump struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -169,9 +173,10 @@ func (p *Pump) Running() int { return int(p.running.Load()) }
 const pumpBurst = 64
 
 // The pumps' idle ladder: the first wait after the spin budget, doubling
-// per further idle wait up to the cap. The cap bounds every bell wait —
-// the simulated wire has no wake channel, and the guest controls when
-// bells ring — so it is the worst-case added latency either can impose.
+// per further idle wait up to the cap. The pumps wake on the backend's
+// ring and on the wire, but the guest controls when its ring wakes the
+// host, so the cap bounds every wait: it is the worst-case added latency
+// a silent wake can impose.
 const (
 	pumpWaitMin = 20 * time.Microsecond
 	pumpWaitMax = 200 * time.Microsecond
@@ -201,7 +206,7 @@ func (p *Pump) run(h Host, port *simnet.Port) {
 	defer p.wg.Done()
 	defer p.running.Add(-1)
 	nh, _ := h.(NotifyHost)
-	idler := NewIdler(nh, pumpWaitMin, pumpWaitMax)
+	idler := NewIdler(pumpWaitMin, pumpWaitMax, nh, port)
 	bh, ok := h.(BatchHost)
 	burst := pumpBurst
 	if !ok {

@@ -15,6 +15,7 @@ type Meter struct {
 	gateCrossings atomic.Uint64
 	bytesCopied   atomic.Uint64
 	checks        atomic.Uint64
+	emptyPolls    atomic.Uint64
 	notifications atomic.Uint64
 	suppressed    atomic.Uint64
 	publications  atomic.Uint64
@@ -62,6 +63,16 @@ func (m *Meter) Copy(n int) {
 func (m *Meter) Check(n int) {
 	if m != nil {
 		m.checks.Add(uint64(n))
+	}
+}
+
+// EmptyPoll records n polls of a peer index that found no new work. An
+// empty poll loads an index and compares it with a private copy; it
+// validates nothing, so it carries no ModelNanos weight — otherwise
+// modelled cost would grow with how often an idle loop happens to wake.
+func (m *Meter) EmptyPoll(n int) {
+	if m != nil {
+		m.emptyPolls.Add(uint64(n))
 	}
 }
 
@@ -171,6 +182,7 @@ type Costs struct {
 	GateCrossings    uint64
 	BytesCopied      uint64
 	Checks           uint64
+	EmptyPolls       uint64
 	Notifications    uint64
 	NotifsSuppressed uint64
 	IndexPublishes   uint64
@@ -192,6 +204,7 @@ func (m *Meter) Snapshot() Costs {
 		GateCrossings:    m.gateCrossings.Load(),
 		BytesCopied:      m.bytesCopied.Load(),
 		Checks:           m.checks.Load(),
+		EmptyPolls:       m.emptyPolls.Load(),
 		Notifications:    m.notifications.Load(),
 		NotifsSuppressed: m.suppressed.Load(),
 		IndexPublishes:   m.publications.Load(),
@@ -214,6 +227,7 @@ func (c Costs) Sub(earlier Costs) Costs {
 		GateCrossings:    c.GateCrossings - earlier.GateCrossings,
 		BytesCopied:      c.BytesCopied - earlier.BytesCopied,
 		Checks:           c.Checks - earlier.Checks,
+		EmptyPolls:       c.EmptyPolls - earlier.EmptyPolls,
 		Notifications:    c.Notifications - earlier.Notifications,
 		NotifsSuppressed: c.NotifsSuppressed - earlier.NotifsSuppressed,
 		IndexPublishes:   c.IndexPublishes - earlier.IndexPublishes,
@@ -236,6 +250,7 @@ func (c Costs) Add(other Costs) Costs {
 		GateCrossings:    c.GateCrossings + other.GateCrossings,
 		BytesCopied:      c.BytesCopied + other.BytesCopied,
 		Checks:           c.Checks + other.Checks,
+		EmptyPolls:       c.EmptyPolls + other.EmptyPolls,
 		Notifications:    c.Notifications + other.Notifications,
 		NotifsSuppressed: c.NotifsSuppressed + other.NotifsSuppressed,
 		IndexPublishes:   c.IndexPublishes + other.IndexPublishes,
@@ -259,6 +274,11 @@ func (c Costs) String() string {
 	// present keeps the steady-state benchmark lines unchanged.
 	if c.NotifsSuppressed != 0 {
 		s += fmt.Sprintf(" suppressed=%d", c.NotifsSuppressed)
+	}
+	// Empty polls are idle-loop activity, not datapath work; like the
+	// counters below they appear only when present.
+	if c.EmptyPolls != 0 {
+		s += fmt.Sprintf(" empty-polls=%d", c.EmptyPolls)
 	}
 	// Liveness events are zero in every healthy run; appending them only
 	// when present keeps the steady-state benchmark lines unchanged.

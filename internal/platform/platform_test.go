@@ -227,3 +227,31 @@ func TestRevokeReshareProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEmptyPollsCountedApart: empty polls travel through Snapshot, Sub,
+// Add and String like every counter, but carry no modelled time — an
+// idle loop that polls more often must not look more expensive.
+func TestEmptyPollsCountedApart(t *testing.T) {
+	var m Meter
+	m.EmptyPoll(7)
+	m.Check(2)
+	c := m.Snapshot()
+	if c.EmptyPolls != 7 || c.Checks != 2 {
+		t.Fatalf("snapshot = %+v, want 7 empty polls and 2 checks", c)
+	}
+	if d := c.Sub(Costs{EmptyPolls: 3}); d.EmptyPolls != 4 {
+		t.Fatalf("Sub = %+v", d)
+	}
+	if s := c.Add(Costs{EmptyPolls: 3}); s.EmptyPolls != 10 {
+		t.Fatalf("Add = %+v", s)
+	}
+	if !strings.Contains(c.String(), "empty-polls=7") {
+		t.Fatalf("String = %q", c.String())
+	}
+	p := DefaultCostParams()
+	if got, want := c.ModelNanos(p), (Costs{Checks: 2}).ModelNanos(p); got != want {
+		t.Fatalf("ModelNanos = %v, want %v: empty polls must weigh nothing", got, want)
+	}
+	var nilMeter *Meter
+	nilMeter.EmptyPoll(1)
+}

@@ -105,6 +105,17 @@ func (g *GuestNIC) MAC() [6]byte { return g.EP.Config().MAC }
 // MTU implements nic.Guest.
 func (g *GuestNIC) MTU() int { return g.EP.Config().MTU }
 
+// ArmNotify implements nic.NotifyHost for the receive side: publish the
+// guest's RX wake threshold and report whether frames already wait.
+func (g *GuestNIC) ArmNotify() bool { return g.EP.ArmRXNotify() }
+
+// SuppressNotify implements nic.NotifyHost.
+func (g *GuestNIC) SuppressNotify() { g.EP.SuppressRXNotify() }
+
+// NotifyChan implements nic.NotifyHost: the RX doorbell when the device
+// has one, else the monitor on the host's RXUsed producer index.
+func (g *GuestNIC) NotifyChan() <-chan struct{} { return g.EP.rxWake() }
+
 // HostNIC adapts a HostPort to the nic.Host contract.
 type HostNIC struct {
 	HP *HostPort
@@ -183,15 +194,17 @@ func (h *HostNIC) ArmNotify() bool { return h.HP.ArmTXNotify() }
 // SuppressNotify implements nic.NotifyHost.
 func (h *HostNIC) SuppressNotify() { h.HP.SuppressTXNotify() }
 
-// NotifyChan implements nic.NotifyHost. The shared state is re-fetched
-// on every call: reincarnation replaces the doorbell, and a pump that
-// cached the old (sealed) bell would sleep through the new incarnation's
-// rings until its bounded timeout.
+// NotifyChan implements nic.NotifyHost: the TX doorbell when the device
+// has one, else the monitor on the guest's TX producer index. The shared
+// state is re-fetched on every call: reincarnation replaces both, and a
+// pump that cached the old (sealed) bell or the old ring's monitor would
+// sleep through the new incarnation's work until its bounded timeout.
 func (h *HostNIC) NotifyChan() <-chan struct{} {
-	if b := h.HP.Shared().TXBell; b != nil {
-		return b.Chan()
+	sh := h.HP.Shared()
+	if sh.TXBell != nil {
+		return sh.TXBell.Chan()
 	}
-	return nil
+	return sh.TX.Indexes().ProdMoved()
 }
 
 // NIC returns the multi-queue endpoint's nic.MultiGuest view: a mux over

@@ -512,11 +512,18 @@ func (e *Endpoint) postSlab(slab int) {
 }
 
 // rxAvailLocked loads and validates the host's RXUsed producer index,
-// returning how many completed frames wait past rxTail.
+// returning how many completed frames wait past rxTail. A poll that
+// finds the index where it left it validates nothing: it counts as an
+// empty poll, not a check, so modelled cost does not depend on how
+// often an idle loop polls.
 //
 //ciovet:locked
 func (e *Endpoint) rxAvailLocked() (uint64, error) {
 	prod := e.sh.RXUsed.Indexes().LoadProd()
+	if prod == e.rxTail {
+		e.meter.EmptyPoll(1)
+		return 0, nil
+	}
 	e.meter.Check(1)
 	avail, err := e.sh.RXUsed.checkPeerProd(prod, e.rxTail)
 	if err != nil {
@@ -680,6 +687,18 @@ func (e *Endpoint) RXBell() *Doorbell {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.sh.RXBell
+}
+
+// rxWake returns what a receive loop waits on: the RX doorbell when the
+// device has one, else the monitor on the host's RXUsed producer index.
+// Read under e.mu because reincarnation swaps the shared window.
+func (e *Endpoint) rxWake() <-chan struct{} {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.sh.RXBell != nil {
+		return e.sh.RXBell.Chan()
+	}
+	return e.sh.RXUsed.Indexes().ProdMoved()
 }
 
 // ArmRXNotify publishes the guest's receive wake threshold (event

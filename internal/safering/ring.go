@@ -78,13 +78,33 @@ type Indexes struct {
 	// watchdog notices) but can never confuse ring state.
 	//ciovet:shared the peer publishes its wake threshold here
 	evt atomic.Uint64
+	// moved models a monitor armed on prod's cache line (monitor/mwait):
+	// every producer store leaves one coalescing token here. Watching it
+	// causes no exit and rings no doorbell, so it is never metered as a
+	// notification. Like a doorbell it is a hint only — a producer that
+	// stores in a loop causes wasted polls, never state confusion.
+	moved chan struct{}
 }
 
 // LoadProd returns the producer's published position.
 func (ix *Indexes) LoadProd() uint64 { return ix.prod.Load() }
 
-// StoreProd publishes the producer position.
-func (ix *Indexes) StoreProd(v uint64) { ix.prod.Store(v) }
+// StoreProd publishes the producer position and trips the producer-index
+// monitor. The token send never blocks; repeated stores collapse into
+// one token.
+func (ix *Indexes) StoreProd(v uint64) {
+	ix.prod.Store(v)
+	select {
+	case ix.moved <- struct{}{}:
+	default:
+	}
+}
+
+// ProdMoved returns the producer-index monitor: it holds a token once
+// the producer index was stored since a waiter last took one. A consumer
+// without a doorbell waits on it (time-bounded, with the lost-wakeup
+// recheck) and then polls through the validated path.
+func (ix *Indexes) ProdMoved() <-chan struct{} { return ix.moved }
 
 // LoadCons returns the consumer's published position.
 func (ix *Indexes) LoadCons() uint64 { return ix.cons.Load() }
@@ -134,7 +154,10 @@ func NewRing(nslots, slotSize int) (*Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Ring{slots: r, nslots: uint64(nslots), slotSize: uint64(slotSize)}, nil
+	return &Ring{
+		ix:    Indexes{moved: make(chan struct{}, 1)},
+		slots: r, nslots: uint64(nslots), slotSize: uint64(slotSize),
+	}, nil
 }
 
 // Indexes exposes the shared index pair (both sides use it; a malicious

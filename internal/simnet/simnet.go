@@ -130,9 +130,12 @@ type Port struct {
 	queue  [][]byte
 	held   [][]byte // reorder buffer
 	closed bool
-	imp    Impairment
-	rng    *rand.Rand
-	count  uint64
+	// bell holds one token once a frame is queued since the last wait:
+	// the wire's wake source for the pump that drains this port.
+	bell  chan struct{}
+	imp   Impairment
+	rng   *rand.Rand
+	count uint64
 	// Drops counts frames lost to impairment or overflow.
 	Drops uint64
 }
@@ -145,7 +148,7 @@ const queueCap = 4096
 func (n *Network) NewPort() *Port {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	p := &Port{n: n, index: len(n.ports)}
+	p := &Port{n: n, index: len(n.ports), bell: make(chan struct{}, 1)}
 	n.ports = append(n.ports, p)
 	return p
 }
@@ -202,6 +205,19 @@ func (p *Port) Pending() int {
 	defer p.mu.Unlock()
 	return len(p.queue)
 }
+
+// ArmNotify reports whether frames already wait, so a loop about to
+// wait on NotifyChan polls again instead. The port rings on every
+// delivery, so there is no threshold to publish.
+func (p *Port) ArmNotify() bool { return p.Pending() > 0 }
+
+// SuppressNotify is a no-op: ringing the port's bell costs nothing.
+func (p *Port) SuppressNotify() {}
+
+// NotifyChan returns the port's bell: it holds a token once a frame was
+// queued since a waiter last took one. Deliveries coalesce into one
+// token, so a woken waiter drains the port until Recv reports empty.
+func (p *Port) NotifyChan() <-chan struct{} { return p.bell }
 
 func (n *Network) switchFrame(srcPort int, frame []byte) error {
 	var dst, src [6]byte
@@ -274,6 +290,10 @@ func (p *Port) deliver(frame []byte) {
 			return
 		}
 		p.queue = append(p.queue, f)
+		select {
+		case p.bell <- struct{}{}:
+		default:
+		}
 	}
 
 	if imp.ReorderEvery > 0 && p.count%uint64(imp.ReorderEvery) == 0 {

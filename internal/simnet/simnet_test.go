@@ -251,3 +251,63 @@ func TestSendCopiesFrame(t *testing.T) {
 		t.Fatal("network did not copy the frame on delivery")
 	}
 }
+
+// rung drains the port's bell without blocking and reports whether it
+// held a token.
+func rung(p *Port) bool {
+	select {
+	case <-p.NotifyChan():
+		return true
+	default:
+		return false
+	}
+}
+
+func TestDeliveryRingsBell(t *testing.T) {
+	n := New()
+	pa, pb := n.NewPort(), n.NewPort()
+	if rung(pb) || pb.ArmNotify() {
+		t.Fatal("idle port rang or reported pending frames")
+	}
+	for i := 0; i < 3; i++ {
+		if err := pa.Send(mkFrame(macB, macA, []byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !rung(pb) {
+		t.Fatal("delivery did not ring the receiving port's bell")
+	}
+	if rung(pb) {
+		t.Fatal("three deliveries left more than one token")
+	}
+	if rung(pa) {
+		t.Fatal("sending rang the sender's own bell")
+	}
+	// The bell coalesced, but ArmNotify still sees every waiting frame.
+	if !pb.ArmNotify() {
+		t.Fatal("ArmNotify missed pending frames")
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := pb.Recv(); !ok {
+			t.Fatalf("frame %d missing", i)
+		}
+	}
+	if pb.ArmNotify() {
+		t.Fatal("ArmNotify reported frames on a drained port")
+	}
+}
+
+func TestDroppedFrameDoesNotRing(t *testing.T) {
+	n := New()
+	pa, pb := n.NewPort(), n.NewPort()
+	pb.Impair(Impairment{DropEvery: 1})
+	if err := pa.Send(mkFrame(macB, macA, []byte("lost"))); err != nil {
+		t.Fatal(err)
+	}
+	if pb.Drops != 1 {
+		t.Fatalf("Drops = %d, want 1", pb.Drops)
+	}
+	if rung(pb) || pb.ArmNotify() {
+		t.Fatal("a dropped frame rang the bell or counted as pending")
+	}
+}

@@ -23,7 +23,7 @@ func StartPump(d *Device) *Pump {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		idler := nic.NewIdler(nil, 20*time.Microsecond, 20*time.Microsecond)
+		idler := nic.NewIdler(20*time.Microsecond, 20*time.Microsecond)
 		for {
 			select {
 			case <-p.stop:

@@ -135,6 +135,22 @@ func (g guestNIC) Recv() (nic.Frame, error) {
 func (g guestNIC) MAC() [6]byte { return g.d.cfg.MAC }
 func (g guestNIC) MTU() int     { return g.d.cfg.MTU }
 
+// ArmNotify implements nic.NotifyHost for the receive side. The driver
+// publishes no wake threshold (the device's interrupt model is fixed),
+// so arming is the lost-wakeup recheck alone: has the used index moved
+// past what the driver consumed?
+func (g guestNIC) ArmNotify() bool {
+	g.d.mu.Lock()
+	defer g.d.mu.Unlock()
+	return g.d.rx.UsedIdx() != g.d.rxLastUsed
+}
+
+// SuppressNotify implements nic.NotifyHost; there is nothing to withdraw.
+func (g guestNIC) SuppressNotify() {}
+
+// NotifyChan implements nic.NotifyHost: the monitor on the RX used index.
+func (g guestNIC) NotifyChan() <-chan struct{} { return g.d.rx.usedMoved }
+
 // hostNIC adapts Device to nic.Host.
 type hostNIC struct{ dv *Device }
 
@@ -158,3 +174,17 @@ func (h hostNIC) Push(frame []byte) error {
 }
 
 func (h hostNIC) FrameCap() int { return h.dv.cfg.BufSize }
+
+// ArmNotify implements nic.NotifyHost for the transmit side: the
+// lost-wakeup recheck of the TX avail index.
+func (h hostNIC) ArmNotify() bool {
+	h.dv.mu.Lock()
+	defer h.dv.mu.Unlock()
+	return h.dv.tx.AvailIdx() != h.dv.txLastAvail
+}
+
+// SuppressNotify implements nic.NotifyHost; there is nothing to withdraw.
+func (h hostNIC) SuppressNotify() {}
+
+// NotifyChan implements nic.NotifyHost: the monitor on the TX avail index.
+func (h hostNIC) NotifyChan() <-chan struct{} { return h.dv.tx.availMoved }

@@ -340,10 +340,11 @@ func (d *Driver) Recv() (*RxFrame, error) {
 		return nil, d.dead
 	}
 	used := d.rx.UsedIdx()
-	d.meter.Check(1)
 	if used == d.rxLastUsed {
+		d.meter.EmptyPoll(1)
 		return nil, ErrEmpty
 	}
+	d.meter.Check(1)
 	if used-d.rxLastUsed > uint64(d.cfg.QueueSize) {
 		if d.cfg.Hardening.Checks {
 			d.stats.Blocked++

@@ -42,11 +42,29 @@ type Queue struct {
 	availIdx atomic.Uint64
 	//ciovet:shared device-published used index, driver reads it concurrently
 	usedIdx atomic.Uint64
+
+	// availMoved and usedMoved model monitors armed on the two index
+	// cache lines: every store of the index leaves one coalescing token,
+	// which an idle consumer waits on instead of a clock. Hints only —
+	// every poll still goes through the (hardened or legacy) index path.
+	availMoved chan struct{}
+	usedMoved  chan struct{}
+}
+
+// trip leaves a token on a monitor without blocking.
+func trip(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 // NewQueue allocates a virtqueue of the given size with per-slot buffers.
 func NewQueue(size, bufSize int) (*Queue, error) {
-	q := &Queue{size: uint64(size), bufSize: uint64(bufSize)}
+	q := &Queue{
+		size: uint64(size), bufSize: uint64(bufSize),
+		availMoved: make(chan struct{}, 1), usedMoved: make(chan struct{}, 1),
+	}
 	var err error
 	if q.desc, err = shmem.NewRegion(size * descBytes); err != nil {
 		return nil, err
@@ -112,6 +130,7 @@ func (q *Queue) AvailIdx() uint64 { return q.availIdx.Load() }
 func (q *Queue) PublishAvail(idx uint64, id uint16) {
 	q.avail.SetU16((idx&(q.size-1))*2, id)
 	q.availIdx.Store(idx + 1)
+	trip(q.availMoved)
 }
 
 // AvailEntry reads the avail ring entry at position idx (masked).
@@ -129,6 +148,7 @@ func (q *Queue) PublishUsed(idx uint64, id, length uint32) {
 	q.used.SetU32(off, id)
 	q.used.SetU32(off+4, length)
 	q.usedIdx.Store(idx + 1)
+	trip(q.usedMoved)
 }
 
 // UsedEntry reads the used element at position idx (masked).
@@ -139,8 +159,14 @@ func (q *Queue) UsedEntry(idx uint64) (id, length uint32) {
 
 // ForgeUsedIdx lets a malicious device publish an arbitrary used index
 // without writing entries.
-func (q *Queue) ForgeUsedIdx(v uint64) { q.usedIdx.Store(v) }
+func (q *Queue) ForgeUsedIdx(v uint64) {
+	q.usedIdx.Store(v)
+	trip(q.usedMoved)
+}
 
 // ForgeAvailIdx lets a malicious driver-side entity publish an arbitrary
 // avail index.
-func (q *Queue) ForgeAvailIdx(v uint64) { q.availIdx.Store(v) }
+func (q *Queue) ForgeAvailIdx(v uint64) {
+	q.availIdx.Store(v)
+	trip(q.availMoved)
+}

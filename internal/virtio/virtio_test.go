@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"confio/internal/nic"
 )
 
 func mkFrame(n int, seed byte) []byte {
@@ -246,4 +248,60 @@ func TestDeviceTruncatesToPostedBuffer(t *testing.T) {
 		t.Fatalf("len = %d", len(rx.Bytes()))
 	}
 	rx.Release()
+}
+
+// tokens drains a monitor without blocking and reports how many tokens
+// it held.
+func tokens(ch <-chan struct{}) int {
+	n := 0
+	for {
+		select {
+		case <-ch:
+			n++
+		default:
+			return n
+		}
+	}
+}
+
+// TestIndexMonitorsWakeBothSides: the driver's avail publication wakes
+// the device's transmit loop and the device's used publication wakes
+// the driver's receive loop — the same wake the safe ring gets.
+func TestIndexMonitorsWakeBothSides(t *testing.T) {
+	d, dv := pair(t, FullHardening())
+	g := d.NIC().(nic.NotifyHost)
+	h := dv.NIC().(nic.NotifyHost)
+	if n, m := tokens(g.NotifyChan()), tokens(h.NotifyChan()); n != 0 || m != 0 {
+		t.Fatalf("idle pair holds %d guest and %d host tokens", n, m)
+	}
+	if g.ArmNotify() || h.ArmNotify() {
+		t.Fatal("idle pair reported waiting work")
+	}
+	if err := d.Send(mkFrame(64, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if tokens(h.NotifyChan()) != 1 || !h.ArmNotify() {
+		t.Fatal("driver send did not wake the device")
+	}
+	buf := make([]byte, 2048)
+	if _, err := dv.Pop(buf); err != nil {
+		t.Fatal(err)
+	}
+	if h.ArmNotify() {
+		t.Fatal("device reports work after draining")
+	}
+	if err := dv.Push(mkFrame(64, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if tokens(g.NotifyChan()) != 1 || !g.ArmNotify() {
+		t.Fatal("device push did not wake the driver")
+	}
+	fr, err := d.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Release()
+	if g.ArmNotify() {
+		t.Fatal("driver reports work after draining")
+	}
 }
