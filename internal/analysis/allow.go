@@ -3,11 +3,13 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"sort"
 	"strings"
 )
 
 // allowDirective is one parsed //ciovet:allow comment.
 type allowDirective struct {
+	pos    token.Pos // the directive comment itself
 	file   string
 	line   int // line the directive applies to (its own line, or the next)
 	rule   string
@@ -48,7 +50,7 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diag
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				d := allowDirective{file: pos.Filename, rule: rule, reason: reason}
+				d := allowDirective{pos: c.Pos(), file: pos.Filename, rule: rule, reason: reason}
 				// Trailing comment suppresses its own line; a standalone
 				// directive line suppresses the next line.
 				d.line = pos.Line
@@ -115,17 +117,54 @@ func (ix sanitizedIndex) covers(fset *token.FileSet, pos token.Pos) bool {
 	return ix[p.Filename][p.Line]
 }
 
-// match reports whether a diagnostic for rule at pos is suppressed, and the
-// recorded reason. The rule "*" in a directive matches every rule.
-func (ix allowIndex) match(fset *token.FileSet, pos token.Pos, rule string) (string, bool) {
+// match returns the directive that suppresses a diagnostic for rule at
+// pos, or nil. The rule "*" in a directive matches every rule.
+func (ix allowIndex) match(fset *token.FileSet, pos token.Pos, rule string) *allowDirective {
 	if ix == nil {
-		return "", false
+		return nil
 	}
 	p := fset.Position(pos)
-	for _, d := range ix[p.Filename][p.Line] {
+	for i, d := range ix[p.Filename][p.Line] {
 		if d.rule == rule || d.rule == "*" {
-			return d.reason, true
+			return &ix[p.Filename][p.Line][i]
 		}
 	}
-	return "", false
+	return nil
+}
+
+// dead reports the well-formed directives that suppress nothing: those
+// naming a rule that is not in the suite, and those naming a rule that
+// ran (for "*", any rule) yet matched no finding. Either reads like an
+// audited opt-out while the line it sits on is not opted out of anything.
+func (ix allowIndex) dead(ran []*Analyzer, used map[token.Pos]bool) []Diagnostic {
+	known := map[string]bool{"*": true}
+	for _, a := range Suite() {
+		known[a.Name] = true
+	}
+	didRun := map[string]bool{"*": len(ran) > 0}
+	for _, a := range ran {
+		didRun[a.Name] = true
+	}
+	seen := make(map[token.Pos]bool)
+	var out []Diagnostic
+	for _, byLine := range ix {
+		for _, ds := range byLine {
+			for _, d := range ds {
+				if seen[d.pos] {
+					continue // each directive is indexed on two lines
+				}
+				seen[d.pos] = true
+				switch {
+				case !known[d.rule]:
+					out = append(out, Diagnostic{Pos: d.pos, Rule: "allow",
+						Message: "ciovet:allow names unknown rule " + d.rule + ", so it suppresses nothing"})
+				case didRun[d.rule] && !used[d.pos]:
+					out = append(out, Diagnostic{Pos: d.pos, Rule: "allow",
+						Message: "ciovet:allow " + d.rule + " suppresses nothing here; remove it or make it a plain comment"})
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
+	return out
 }

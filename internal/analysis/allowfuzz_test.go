@@ -65,23 +65,24 @@ func FuzzAllowDirective(f *testing.F) {
 				t.Fatalf("well-formed directive %q: unexpected diagnostics %v", tail, bad)
 			}
 			rule := fields[0]
-			reason, ok := idx.match(fset, declPos, rule)
-			if !ok {
+			d := idx.match(fset, declPos, rule)
+			if d == nil {
 				t.Fatalf("directive %q does not suppress rule %q on the next line", tail, rule)
 			}
+			reason := d.reason
 			if reason == "" {
 				t.Fatalf("directive %q suppresses %q but lost its reason", tail, rule)
 			}
 			if !strings.Contains(tail, reason) {
 				t.Fatalf("directive %q: recorded reason %q is not a substring of the directive", tail, reason)
 			}
-			if _, ok := idx.match(fset, pkgPos, rule); ok {
+			if idx.match(fset, pkgPos, rule) != nil {
 				t.Fatalf("directive %q leaked onto the preceding line", tail)
 			}
 			// A non-matching rule must not be suppressed — unless the
 			// directive's rule is the wildcard.
 			if rule != "*" {
-				if _, ok := idx.match(fset, declPos, rule+"-other"); ok {
+				if idx.match(fset, declPos, rule+"-other") != nil {
 					t.Fatalf("directive %q suppressed unrelated rule %q", tail, rule+"-other")
 				}
 			}

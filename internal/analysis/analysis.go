@@ -67,6 +67,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	allow       allowIndex
+	allowUsed   map[token.Pos]bool // directives that suppressed a finding, shared by every pass
 	diagnostics []Diagnostic
 	suppressed  []Suppression
 	facts       *FactStore // imported dependency facts; nil outside RunWithFacts
@@ -151,8 +152,9 @@ func (p *Pass) ExportLockEdge(e LockEdge) {
 // directive for this rule suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	d := Diagnostic{Pos: pos, Rule: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)}
-	if reason, ok := p.allow.match(p.Fset, pos, p.Analyzer.Name); ok {
-		p.suppressed = append(p.suppressed, Suppression{Diagnostic: d, Reason: reason})
+	if a := p.allow.match(p.Fset, pos, p.Analyzer.Name); a != nil {
+		p.allowUsed[a.pos] = true
+		p.suppressed = append(p.suppressed, Suppression{Diagnostic: d, Reason: a.reason})
 		return
 	}
 	p.diagnostics = append(p.diagnostics, d)
@@ -177,8 +179,9 @@ type Package struct {
 }
 
 // Run applies each analyzer to pkg and merges their findings. Malformed
-// //ciovet:allow directives (missing rule or reason) are reported as
-// diagnostics under the rule name "allow". Facts are neither imported
+// //ciovet:allow directives (missing rule or reason) and dead ones (an
+// unknown rule, or a rule that ran and suppressed nothing) are reported
+// as diagnostics under the rule name "allow". Facts are neither imported
 // nor exported: out-of-package callees stay conservative-clean, the
 // pre-fact behavior single-package corpus tests still pin.
 func Run(pkg *Package, analyzers []*Analyzer) (Result, error) {
@@ -193,6 +196,7 @@ func RunWithFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) (Result
 	var res Result
 	allow, bad := buildAllowIndex(pkg.Fset, pkg.Files)
 	res.Diagnostics = append(res.Diagnostics, bad...)
+	used := make(map[token.Pos]bool)
 	var export *PkgFacts
 	if store != nil {
 		export = NewPkgFacts(pkg.Path)
@@ -210,6 +214,7 @@ func RunWithFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) (Result
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
 			allow:     allow,
+			allowUsed: used,
 			facts:     store,
 			export:    export,
 		}
@@ -219,6 +224,7 @@ func RunWithFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) (Result
 		res.Diagnostics = append(res.Diagnostics, pass.diagnostics...)
 		res.Suppressed = append(res.Suppressed, pass.suppressed...)
 	}
+	res.Diagnostics = append(res.Diagnostics, allow.dead(analyzers, used)...)
 	if store != nil {
 		store.Put(export)
 	}
@@ -333,7 +339,6 @@ func RunModule(pkgs []*Package, analyzers []*Analyzer, workers int) ([]PkgResult
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		DoubleFetchAnalyzer,
-		MaskIdxAnalyzer,
 		HostTaintAnalyzer,
 		SharedAtomicAnalyzer,
 		FatalViolationAnalyzer,

@@ -111,8 +111,7 @@ func fetchOffsetArg(call *ast.CallExpr, method string) ast.Expr {
 			return call.Args[1]
 		}
 		// LoadProd/LoadCons are deliberately excluded: spin-waits re-read
-		// an index by design, and index misuse is caught by checkPeer*
-		// validation plus the maskidx taint rule.
+		// an index by design.
 	}
 	return nil
 }

@@ -7,49 +7,52 @@ import (
 	"go/types"
 )
 
-// HostTaintAnalyzer is the interprocedural companion to maskidx: the
-// paper's Figures 2-4 show that most paravirtual-driver CVEs are missed
-// validation of host-controlled values, and the real instances cross
-// function boundaries — a length read from the shared window in one
-// function flows into a slice expression three calls away, where the
-// intra-procedural rules (which require the fetch and the unsafe use in
-// one function) cannot see it.
+// HostTaintAnalyzer enforces the paper's masked-index rule (ring design
+// principle: "out-of-range is unrepresentable by construction"; Fig. 2-4
+// bug class: missing validation of host-controlled indices and lengths,
+// the class VIA found by fuzzing protected-VM device interfaces). Any
+// value that flows from host-writable shared memory — descriptor fields,
+// index cells, region loads — must pass through a mask or a terminating
+// bounds check before it indexes, bounds a slice, sizes an allocation,
+// gives the length of a contiguous region view, bounds a loop, or becomes
+// a raw address. The fetch and the unsafe use may sit in one function or
+// several calls apart: the real CVE-shaped flows cross function
+// boundaries, where a length read from the shared window in one function
+// reaches a slice expression three calls away.
 //
 // The analysis is summary-based and runs in two phases over the call
 // graph of the package under analysis. Phase one computes, per function,
 // a taint summary to a fixpoint: which results carry host taint
 // unconditionally (the body loads them from shmem.Region / ring windows /
 // peer indexes), which results are tainted when a given parameter is, and
-// which parameters reach a dangerous sink — slice/array indexing, slice
-// bounds, allocation sizes, Region.Slice lengths, loop bounds, unsafe
-// conversions — without first passing a sanitizer. Phase two re-walks
-// every function with the final summaries and reports two flow shapes the
-// intra-procedural rules miss: a value returned tainted by a callee
-// reaching a local sink, and a host-controlled argument passed to a
-// parameter that (transitively) reaches a sink in the callee.
+// which parameters reach a dangerous sink without first passing a
+// sanitizer. Phase two re-walks every function with the final summaries
+// and reports every host-controlled value that reaches a sink, whether
+// it was fetched locally, returned tainted by a callee, or passed as an
+// argument to a parameter that (transitively) reaches a sink in the
+// callee. Closures are walked as functions of their own, unsummarized and
+// reading no summaries: their parameters, captured variables and call
+// results are clean, so a closure is held to the local-flow rule only.
 //
-// Sanitizers are the same idioms maskidx honors — masking (&, %, >>, &^),
-// terminating bounds guards, for-loop upper-bound conditions, min/max
-// capping — plus the explicit //ciovet:sanitized annotation, which marks
-// the values assigned on a line (or every result of an annotated
-// function) as audited-clean at the definition.
+// Sanitizers are masking (&, %, >>, &^), terminating bounds guards,
+// for-loop upper-bound conditions and min/max capping, plus the explicit
+// //ciovet:sanitized annotation, which marks the values assigned on a
+// line (or every result of an annotated function) as audited-clean at
+// the definition.
 //
-// Division of labor: a source used unsafely in the *same* function is
-// maskidx's finding; hosttaint stays silent there and reports only flows
-// that crossed a function boundary, so the two rules never double-report.
-// Loop-bound and unsafe-conversion sinks are new with this rule and are
-// reported for local flows too. Calls that cannot be resolved statically
-// (interface methods, function values) are treated as clean. Statically
-// resolved out-of-package callees consult the fact layer: under the
-// module driver (RunModule) every dependency is analyzed first and its
-// summaries exported as TaintFacts, so a length fetched from shared
-// memory inside safering and returned to a caller in nic is tracked
-// across the package boundary. Outside the module driver (single-package
-// Run) no facts are loaded and such callees stay conservative-clean.
+// Every statically resolved callee is read through one summary lookup:
+// this package's fixpoint summary for a local function, the imported
+// TaintFact for one declared in a dependency. Under the module driver
+// (RunModule) every dependency is analyzed first and its summaries
+// exported as TaintFacts, so a length fetched from shared memory inside
+// safering and returned to a caller in nic is tracked across the package
+// boundary. Outside the module driver (single-package Run) no facts are
+// loaded and out-of-package callees stay conservative-clean, as do calls
+// that cannot be resolved statically (interface methods, function values).
 var HostTaintAnalyzer = &Analyzer{
 	Name: "hosttaint",
-	Doc: "interprocedural host-taint dataflow: flags shared-memory values that cross " +
-		"function boundaries into indexing, allocation, loop-bound, or unsafe sinks unsanitized",
+	Doc: "host-taint dataflow within and across functions: flags shared-memory values that reach " +
+		"indexing, slicing, allocation, Region.Slice, loop-bound, or unsafe sinks unmasked and unvalidated",
 	Run: runHostTaint,
 }
 
@@ -68,18 +71,14 @@ func paramBit(i int) paramBits {
 
 // tval is the abstract taint of an expression.
 type tval struct {
-	src    bool      // host-controlled, fetched in this function (maskidx's jurisdiction)
-	inter  bool      // host-controlled, crossed a function boundary to get here
-	via    string    // callee the taint crossed through, for diagnostics
+	host   bool      // host-controlled on this path
+	via    string    // callee the taint came through, for diagnostics
 	params paramBits // tainted iff one of these caller parameters is
 }
 
-func (t tval) concrete() bool { return t.src || t.inter }
-
 func unionT(a, b tval) tval {
 	out := tval{
-		src:    a.src || b.src,
-		inter:  a.inter || b.inter,
+		host:   a.host || b.host,
 		via:    a.via,
 		params: a.params | b.params,
 	}
@@ -89,35 +88,22 @@ func unionT(a, b tval) tval {
 	return out
 }
 
-// taintSummary is one function's interprocedural contract.
-type taintSummary struct {
-	retTainted []bool         // result r is host-tainted regardless of arguments
-	retFrom    []paramBits    // result r is tainted when any of these params is
-	paramSink  map[int]string // param slot -> what the unsanitized sink does
-	// paramChecked marks parameters the function compares in a terminating
-	// guard — the shape of a factored-out validator like checkPeerCons. A
-	// caller that fail-dead-checks such a call's error result gets the
-	// checked arguments credited as validated.
-	paramChecked paramBits
-	sanitizedFn  bool // //ciovet:sanitized on the declaration: audited clean
-}
-
-func newSummary(hf *htFunc, sanitized sanitizedIndex, fset *token.FileSet) *taintSummary {
+// newSummary returns the empty summary phase one grows for hf.
+func newSummary(hf *htFunc, sanitized sanitizedIndex, fset *token.FileSet) *TaintFact {
 	n := hf.numResults()
-	return &taintSummary{
-		retTainted:  make([]bool, n),
-		retFrom:     make([]paramBits, n),
-		paramSink:   make(map[int]string),
-		sanitizedFn: sanitized.covers(fset, hf.decl.Pos()),
+	return &TaintFact{
+		RetTainted: make([]bool, n),
+		RetFrom:    make([]paramBits, n),
+		ParamSink:  make(map[int]string),
+		Sanitized:  sanitized.covers(fset, hf.decl.Pos()),
 	}
 }
 
 // htState is the package-wide analysis state shared by both phases.
 type htState struct {
 	pass      *Pass
-	fns       map[*types.Func]*htFunc
 	ordered   []*htFunc
-	sums      map[*htFunc]*taintSummary
+	sums      map[*types.Func]*TaintFact
 	sanitized sanitizedIndex
 	changed   bool
 	report    bool
@@ -128,10 +114,10 @@ func runHostTaint(pass *Pass) error {
 		pass:      pass,
 		sanitized: buildSanitizedIndex(pass.Fset, pass.Files),
 	}
-	st.fns, st.ordered = collectFuncs(pass)
-	st.sums = make(map[*htFunc]*taintSummary, len(st.ordered))
+	_, st.ordered = collectFuncs(pass)
+	st.sums = make(map[*types.Func]*TaintFact, len(st.ordered))
 	for _, hf := range st.ordered {
-		st.sums[hf] = newSummary(hf, st.sanitized, pass.Fset)
+		st.sums[hf.obj] = newSummary(hf, st.sanitized, pass.Fset)
 	}
 
 	// Phase one: grow summaries to a fixpoint. The lattice per function is
@@ -152,67 +138,61 @@ func runHostTaint(pass *Pass) error {
 	for _, hf := range st.ordered {
 		st.analyzeFunc(hf)
 	}
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				sc := st.newScope(&htFunc{}, &TaintFact{})
+				sc.closure = true
+				sc.walkBody(lit.Body)
+			}
+			return true
+		})
+	}
 
 	// Export the non-trivial final summaries as facts for dependents.
 	for _, hf := range st.ordered {
-		pass.ExportTaint(hf.obj, taintFactOf(st.sums[hf]))
+		pass.ExportTaint(hf.obj, exportable(st.sums[hf.obj]))
 	}
 	return nil
 }
 
-// taintFactOf converts a final taint summary into its exportable fact,
-// or nil when the summary says nothing a caller could use.
-func taintFactOf(sum *taintSummary) *TaintFact {
-	interesting := sum.sanitizedFn || sum.paramChecked != 0 || len(sum.paramSink) > 0
-	for _, b := range sum.retTainted {
-		interesting = interesting || b
-	}
-	for _, bits := range sum.retFrom {
-		interesting = interesting || bits != 0
+// exportable returns sum when it says something a caller could use, or
+// nil.
+func exportable(sum *TaintFact) *TaintFact {
+	interesting := sum.Sanitized || sum.ParamChecked != 0 || len(sum.ParamSink) > 0
+	for r := range sum.RetTainted {
+		interesting = interesting || sum.RetTainted[r] || sum.RetFrom[r] != 0
 	}
 	if !interesting {
 		return nil
 	}
-	f := &TaintFact{
-		RetTainted:   append([]bool(nil), sum.retTainted...),
-		RetFrom:      make([]uint64, len(sum.retFrom)),
-		ParamChecked: uint64(sum.paramChecked),
-		Sanitized:    sum.sanitizedFn,
-	}
-	for i, bits := range sum.retFrom {
-		f.RetFrom[i] = uint64(bits)
-	}
-	if len(sum.paramSink) > 0 {
-		f.ParamSink = make(map[int]string, len(sum.paramSink))
-		for k, v := range sum.paramSink {
-			f.ParamSink[k] = v
-		}
-	}
-	return f
+	return sum
 }
 
 // htScope is the per-function evaluation state.
 type htScope struct {
 	st        *htState
 	fn        *htFunc
-	sum       *taintSummary
+	sum       *TaintFact
 	vars      map[types.Object]tval
 	validated map[vkey][]span
+	closure   bool // a function literal: calls are not resolved
 }
 
-func (st *htState) analyzeFunc(hf *htFunc) {
-	sum := st.sums[hf]
-	if sum.sanitizedFn {
-		return
-	}
-	sc := &htScope{
+func (st *htState) newScope(hf *htFunc, sum *TaintFact) *htScope {
+	return &htScope{
 		st:        st,
 		fn:        hf,
 		sum:       sum,
 		vars:      make(map[types.Object]tval),
 		validated: make(map[vkey][]span),
 	}
-	sc.walkBody(hf.decl.Body)
+}
+
+func (st *htState) analyzeFunc(hf *htFunc) {
+	if sum := st.sums[hf.obj]; !sum.Sanitized {
+		st.newScope(hf, sum).walkBody(hf.decl.Body)
+	}
 }
 
 func (sc *htScope) info() *types.Info { return sc.st.pass.TypesInfo }
@@ -240,8 +220,8 @@ func (sc *htScope) isValidated(key vkey, pos token.Pos) bool {
 // walkBody drives the source-order statement walk.
 func (sc *htScope) walkBody(body *ast.BlockStmt) {
 	walkStack(body, func(n ast.Node, stack []ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit && len(stack) > 0 {
-			return false // closures are separate, unsummarized functions
+		if _, isLit := n.(*ast.FuncLit); isLit {
+			return false // closures get a scope of their own
 		}
 		switch st := n.(type) {
 		case *ast.AssignStmt:
@@ -276,13 +256,13 @@ func (sc *htScope) walkBody(body *ast.BlockStmt) {
 		case *ast.IndexExpr:
 			if indexableSink(sc.info(), st.X) {
 				t := sc.eval(st.Index, st.Pos())
-				sc.sink(st.Index.Pos(), t, "indexes "+exprString(sc.st.pass.Fset, st.X), false)
+				sc.sink(st.Index.Pos(), t, "indexes "+exprString(sc.st.pass.Fset, st.X))
 			}
 		case *ast.SliceExpr:
 			for _, b := range []ast.Expr{st.Low, st.High, st.Max} {
 				if b != nil {
 					t := sc.eval(b, st.Pos())
-					sc.sink(b.Pos(), t, "bounds a slice of "+exprString(sc.st.pass.Fset, st.X), false)
+					sc.sink(b.Pos(), t, "bounds a slice of "+exprString(sc.st.pass.Fset, st.X))
 				}
 			}
 		case *ast.CallExpr:
@@ -292,21 +272,45 @@ func (sc *htScope) walkBody(body *ast.BlockStmt) {
 	})
 }
 
+// indexableSink reports whether indexing into x needs bounds discipline
+// (slices, arrays, strings — not maps, whose keys need no range check).
+func indexableSink(info *types.Info, x ast.Expr) bool {
+	tv, ok := info.Types[x]
+	if !ok {
+		return false
+	}
+	t := tv.Type.Underlying()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem().Underlying()
+	}
+	switch u := t.(type) {
+	case *types.Slice, *types.Array:
+		return true
+	case *types.Basic:
+		return u.Info()&types.IsString != 0
+	}
+	return false
+}
+
+// regionSliceSink describes Region.Slice's length argument. Its
+// diagnostic calls the host-controlled value a length.
+const regionSliceSink = "reaches Region.Slice, which panics on wrap"
+
 // sink handles taint arriving at a dangerous use: parameter taint goes
-// into the summary; concrete taint that crossed a function boundary is
-// reported in phase two. localToo widens reporting to same-function
-// flows, for the sink kinds maskidx has no rule for.
-func (sc *htScope) sink(pos token.Pos, t tval, desc string, localToo bool) {
+// into the summary; concrete host taint is reported in phase two.
+func (sc *htScope) sink(pos token.Pos, t tval, desc string) {
 	if t.params != 0 {
 		sc.recordParamSink(t.params, desc)
 	}
-	if !sc.st.report {
+	if !sc.st.report || !t.host {
 		return
 	}
-	if t.inter || (localToo && t.src) {
-		sc.st.pass.Reportf(pos, "host-controlled value%s %s without mask or bounds check on this path; "+
-			"validate and fail-dead, mask it, or audit with //ciovet:sanitized (hosttaint)", viaClause(t), desc)
+	noun := "value"
+	if desc == regionSliceSink {
+		noun = "length"
 	}
+	sc.st.pass.Reportf(pos, "host-controlled %s%s %s without mask or bounds check on this path; "+
+		"validate and fail-dead, mask it, or audit with //ciovet:sanitized (hosttaint)", noun, viaClause(t), desc)
 }
 
 func viaClause(t tval) string {
@@ -324,15 +328,15 @@ func (sc *htScope) recordParamSink(bits paramBits, desc string) {
 		if bits&paramBit(i) == 0 {
 			continue
 		}
-		if _, ok := sc.sum.paramSink[i]; !ok {
-			sc.sum.paramSink[i] = desc
+		if _, ok := sc.sum.ParamSink[i]; !ok {
+			sc.sum.ParamSink[i] = desc
 			sc.st.changed = true
 		}
 	}
 }
 
-// assign records the abstract value of one variable, dropping stale
-// validation exactly as maskidx does on re-assignment.
+// assign records the abstract value of one variable, dropping any
+// validation of its previous value.
 func (sc *htScope) assign(o types.Object, t tval) {
 	if o == nil {
 		return
@@ -447,9 +451,13 @@ func (sc *htScope) lookup(o types.Object, pos token.Pos) tval {
 	return tval{}
 }
 
-// guard mirrors maskidx's if-guard: comparisons whose guarded body
-// terminates validate the quantities they mention for the rest of the
-// function.
+// guard records that quantities compared in cond count as validated once
+// the comparison has executed, provided the guarded body terminates (the
+// fail-dead shape: `if hostVal > bound { return fail }`). Validation
+// takes effect from the end of the comparison itself, so the
+// short-circuit idiom `idx >= n || !seen[idx]` counts as guarded, and
+// lasts to the end of the function. A guard that merely logs and
+// continues validates nothing.
 func (sc *htScope) guard(cond ast.Expr, body *ast.BlockStmt) {
 	if cond == nil || !terminates(body) {
 		return
@@ -487,8 +495,8 @@ func (sc *htScope) recordCheckedParams(e ast.Expr) {
 			return true
 		}
 		if i := sc.fn.paramIndex(sc.obj(id)); i >= 0 {
-			if bit := paramBit(i); sc.sum.paramChecked&bit == 0 {
-				sc.sum.paramChecked |= bit
+			if bit := paramBit(i); sc.sum.ParamChecked&bit == 0 {
+				sc.sum.ParamChecked |= bit
 				sc.st.changed = true
 			}
 		}
@@ -534,35 +542,26 @@ func (sc *htScope) checkerGuard(st *ast.IfStmt) {
 	if !condTestsInit {
 		return
 	}
-	hf2, args := resolveCall(sc.info(), sc.st.fns, call)
-	if hf2 == nil {
-		// Out-of-package validator: credit the checked slots its
-		// imported fact declares.
-		fn, fargs := resolveCallee(sc.info(), call)
-		if f := sc.st.pass.ImportedTaint(fn); f != nil {
-			for i, arg := range fargs {
-				if paramBits(f.ParamChecked)&paramBit(i) != 0 {
-					sc.markValidated(arg, span{from: st.Cond.End(), until: token.NoPos})
-				}
-			}
-		}
-		return
-	}
-	sum2 := sc.st.sums[hf2]
-	if sum2 == nil {
+	fn, sum, args := sc.callee(call)
+	if sum == nil {
 		return
 	}
 	for i, arg := range args {
-		if i < len(hf2.params) && sum2.paramChecked&paramBit(i) != 0 {
+		if sum.ParamChecked&paramBit(slot(fn, i)) != 0 {
 			sc.markValidated(arg, span{from: st.Cond.End(), until: token.NoPos})
 		}
 	}
 }
 
 // forGuardAndSink treats the loop condition both as a guard for body uses
-// (upper-bounded side only, window closing at loop end — same semantics
-// as maskidx) and as the loop-bound sink: a host-controlled limit spins
-// the loop an attacker-chosen number of iterations.
+// and as the loop-bound sink: a host-controlled limit spins the loop an
+// attacker-chosen number of iterations. The condition asserts its bound
+// directly, so only the upper-bounded side of a comparison is validated —
+// `for i > 0; i--` counting down from a host value bounds nothing — and
+// the validation window closes at the end of the loop, after which the
+// variable may hold any value the host chose beyond the bound. An
+// inequality stops only where the host's value lets it: both of its sides
+// bound the loop and neither is validated.
 func (sc *htScope) forGuardAndSink(st *ast.ForStmt) {
 	if st.Cond == nil {
 		return
@@ -576,14 +575,16 @@ func (sc *htScope) forGuardAndSink(st *ast.ForStmt) {
 				walk(x.X)
 				walk(x.Y)
 			case token.LSS, token.LEQ:
-				t := sc.eval(x.Y, x.Y.Pos())
-				sc.sink(x.Y.Pos(), t, "bounds a loop", true)
+				sc.sink(x.Y.Pos(), sc.eval(x.Y, x.Y.Pos()), "bounds a loop")
 				sc.markValidated(x.X, span{from: x.End(), until: st.End()})
 			case token.GTR, token.GEQ:
-				t := sc.eval(x.X, x.X.Pos())
-				sc.sink(x.X.Pos(), t, "bounds a loop", true)
+				sc.sink(x.X.Pos(), sc.eval(x.X, x.X.Pos()), "bounds a loop")
 				sc.markValidated(x.Y, span{from: x.End(), until: st.End()})
+			case token.NEQ:
+				sc.sink(x.X.Pos(), sc.eval(x.X, x.X.Pos()), "bounds a loop")
+				sc.sink(x.Y.Pos(), sc.eval(x.Y, x.Y.Pos()), "bounds a loop")
 			}
+			// LOR proves neither side; EQL bounds nothing.
 		case *ast.ParenExpr:
 			walk(x.X)
 		}
@@ -592,10 +593,11 @@ func (sc *htScope) forGuardAndSink(st *ast.ForStmt) {
 }
 
 // markValidated marks every variable and host-controlled snapshot field
-// mentioned in e as validated within sp. Unlike maskidx's variant it
-// marks untainted identifiers too: parameter taint is implicit, so there
-// is no taint set to filter on. Spurious entries are harmless — the map
-// is only consulted for tainted values.
+// mentioned in e as validated within sp. It marks untainted identifiers
+// too: parameter taint is implicit, so there is no taint set to filter
+// on. Spurious entries are harmless — the map is only consulted for
+// tainted values. Field validation is per-field: checking d.Len says
+// nothing about d.Ref.
 func (sc *htScope) markValidated(e ast.Expr, sp span) {
 	var walk func(n ast.Expr)
 	walk = func(n ast.Expr) {
@@ -632,10 +634,13 @@ func (sc *htScope) markValidated(e ast.Expr, sp span) {
 	walk(e)
 }
 
+// rangeStmt propagates taint through a range statement: ranging over a
+// host-controlled slice (e.g. a Region.Slice view) yields host-controlled
+// element values. The key is bounded by the range construct itself —
+// except when ranging over a host-controlled integer, which is a
+// host-bounded loop whose key runs up to the host's value.
 func (sc *htScope) rangeStmt(st *ast.RangeStmt) {
 	t := sc.eval(st.X, st.Pos())
-	// Range over a host-chosen integer is a host-bounded loop, and the
-	// key runs up to the host's value.
 	intRange := false
 	if tv, ok := sc.info().Types[st.X]; ok && tv.Type != nil {
 		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
@@ -643,7 +648,7 @@ func (sc *htScope) rangeStmt(st *ast.RangeStmt) {
 		}
 	}
 	if intRange {
-		sc.sink(st.X.Pos(), t, "bounds a loop", true)
+		sc.sink(st.X.Pos(), t, "bounds a loop")
 	}
 	keyT := tval{}
 	if intRange {
@@ -659,19 +664,19 @@ func (sc *htScope) rangeStmt(st *ast.RangeStmt) {
 
 func (sc *htScope) returnStmt(st *ast.ReturnStmt) {
 	record := func(i int, t tval) {
-		if i >= len(sc.sum.retTainted) {
+		if i >= len(sc.sum.RetTainted) {
 			return
 		}
-		if t.concrete() && !sc.sum.retTainted[i] {
-			sc.sum.retTainted[i] = true
+		if t.host && !sc.sum.RetTainted[i] {
+			sc.sum.RetTainted[i] = true
 			sc.st.changed = true
 		}
-		if t.params&^sc.sum.retFrom[i] != 0 {
-			sc.sum.retFrom[i] |= t.params
+		if t.params&^sc.sum.RetFrom[i] != 0 {
+			sc.sum.RetFrom[i] |= t.params
 			sc.st.changed = true
 		}
 	}
-	nres := len(sc.sum.retTainted)
+	nres := len(sc.sum.RetTainted)
 	switch {
 	case len(st.Results) == 0: // bare return: named results
 		for i, ro := range sc.fn.results {
@@ -691,75 +696,88 @@ func (sc *htScope) returnStmt(st *ast.ReturnStmt) {
 	}
 }
 
+// callee resolves call to its statically known callee, that callee's
+// taint summary, and the arguments aligned to its parameter slots. The
+// summary is this package's fixpoint summary for a local function and
+// the imported fact for one declared in a dependency. It is nil — the
+// call is clean — for dynamic calls, for callees with no summary, for
+// functions audited with //ciovet:sanitized, and inside closures.
+func (sc *htScope) callee(call *ast.CallExpr) (*types.Func, *TaintFact, []ast.Expr) {
+	fn, args := resolveCallee(sc.info(), call)
+	if fn == nil || sc.closure {
+		return nil, nil, nil
+	}
+	sum := sc.st.sums[fn]
+	if sum == nil {
+		sum = sc.st.pass.ImportedTaint(fn)
+	}
+	if sum == nil || sum.Sanitized {
+		return fn, nil, args
+	}
+	return fn, sum, args
+}
+
+// slot maps argument i of a call to fn onto fn's parameter slots
+// (receiver = slot 0): the arguments of a variadic tail share the last.
+func slot(fn *types.Func, i int) int {
+	sig := fn.Type().(*types.Signature)
+	n := sig.Params().Len()
+	if sig.Recv() != nil {
+		n++
+	}
+	return min(i, n-1)
+}
+
+// paramName names parameter slot i (receiver = slot 0) of fn, for
+// diagnostics.
+func paramName(fn *types.Func, i int) string {
+	sig := fn.Type().(*types.Signature)
+	var vars []*types.Var
+	if sig.Recv() != nil {
+		vars = append(vars, sig.Recv())
+	}
+	for j := 0; j < sig.Params().Len(); j++ {
+		vars = append(vars, sig.Params().At(j))
+	}
+	if i >= 0 && i < len(vars) && vars[i].Name() != "" && vars[i].Name() != "_" {
+		return vars[i].Name()
+	}
+	return fmt.Sprintf("#%d", i)
+}
+
 // callStmt applies the call-shaped sinks to one call expression: unsafe
-// conversions, allocation sizes, Region.Slice lengths, and — the
-// interprocedural case — arguments flowing into parameters the callee's
-// summary says reach a sink.
+// conversions, allocation sizes, Region.Slice lengths, and arguments
+// flowing into parameters the callee's summary says reach a sink.
 func (sc *htScope) callStmt(call *ast.CallExpr) {
 	info := sc.info()
 	// Conversion to unsafe.Pointer or uintptr.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		if isUnsafeTarget(tv.Type) {
 			t := sc.eval(call.Args[0], call.Pos())
-			sc.sink(call.Args[0].Pos(), t, "reaches an unsafe conversion", true)
+			sc.sink(call.Args[0].Pos(), t, "reaches an unsafe conversion")
 		}
 		return
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "make" && len(call.Args) >= 2 {
 		for _, sz := range call.Args[1:] {
 			t := sc.eval(sz, call.Pos())
-			sc.sink(sz.Pos(), t, "sizes an allocation", false)
+			sc.sink(sz.Pos(), t, "sizes an allocation")
 		}
 		return
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Slice" && len(call.Args) == 2 {
 		if si, ok := info.Selections[sel]; ok && si.Kind() == types.MethodVal && typeIs(si.Recv(), "shmem", "Region") {
 			t := sc.eval(call.Args[1], call.Pos())
-			sc.sink(call.Args[1].Pos(), t, "reaches Region.Slice, which panics on wrap", false)
+			sc.sink(call.Args[1].Pos(), t, regionSliceSink)
 		}
 	}
-	hf2, args := resolveCall(info, sc.st.fns, call)
-	if hf2 == nil {
-		sc.importedCallSinks(call)
-		return
-	}
-	sum2 := sc.st.sums[hf2]
-	if sum2 == nil || sum2.sanitizedFn {
+	fn, sum, args := sc.callee(call)
+	if sum == nil {
 		return
 	}
 	for i, arg := range args {
-		pi := i
-		if pi >= len(hf2.params) {
-			pi = len(hf2.params) - 1 // variadic tail
-		}
-		desc, ok := sum2.paramSink[pi]
-		if !ok {
-			continue
-		}
-		t := sc.eval(arg, arg.Pos())
-		if t.params != 0 {
-			sc.recordParamSink(t.params, "hands it to "+hf2.obj.Name()+", which "+desc)
-		}
-		if sc.st.report && t.concrete() {
-			sc.st.pass.Reportf(arg.Pos(),
-				"host-controlled value%s passed to parameter %q of %s, which %s without revalidation; "+
-					"validate or mask it before the call (hosttaint)",
-				viaClause(t), paramName(hf2, pi), hf2.obj.Name(), desc)
-		}
-	}
-}
-
-// importedCallSinks applies an imported TaintFact's ParamSink entries to
-// one out-of-package call: a host-controlled argument flowing into a
-// parameter the dependency's own analysis proved reaches a sink.
-func (sc *htScope) importedCallSinks(call *ast.CallExpr) {
-	fn, args := resolveCallee(sc.info(), call)
-	f := sc.st.pass.ImportedTaint(fn)
-	if f == nil || f.Sanitized || len(f.ParamSink) == 0 {
-		return
-	}
-	for i, arg := range args {
-		desc, ok := f.ParamSink[i]
+		pi := slot(fn, i)
+		desc, ok := sum.ParamSink[pi]
 		if !ok {
 			continue
 		}
@@ -767,43 +785,13 @@ func (sc *htScope) importedCallSinks(call *ast.CallExpr) {
 		if t.params != 0 {
 			sc.recordParamSink(t.params, "hands it to "+fn.Name()+", which "+desc)
 		}
-		if sc.st.report && t.concrete() {
+		if sc.st.report && t.host {
 			sc.st.pass.Reportf(arg.Pos(),
 				"host-controlled value%s passed to parameter %q of %s, which %s without revalidation; "+
 					"validate or mask it before the call (hosttaint)",
-				viaClause(t), importedParamName(fn, i), fn.Name(), desc)
+				viaClause(t), paramName(fn, pi), fn.Name(), desc)
 		}
 	}
-}
-
-// importedParamName names parameter slot i (receiver = slot 0) of an
-// out-of-package function, for diagnostics.
-func importedParamName(fn *types.Func, i int) string {
-	if sig, ok := fn.Type().(*types.Signature); ok {
-		j := i
-		if sig.Recv() != nil {
-			if j == 0 {
-				if n := sig.Recv().Name(); n != "" && n != "_" {
-					return n
-				}
-				return fmt.Sprintf("#%d", i)
-			}
-			j--
-		}
-		if j >= 0 && j < sig.Params().Len() {
-			if n := sig.Params().At(j).Name(); n != "" && n != "_" {
-				return n
-			}
-		}
-	}
-	return fmt.Sprintf("#%d", i)
-}
-
-func paramName(hf *htFunc, i int) string {
-	if i >= 0 && i < len(hf.params) && hf.params[i] != nil {
-		return hf.params[i].Name()
-	}
-	return fmt.Sprintf("#%d", i)
 }
 
 func isUnsafeTarget(t types.Type) bool {
@@ -844,7 +832,7 @@ func (sc *htScope) eval(e ast.Expr, pos token.Pos) tval {
 					return tval{}
 				}
 			}
-			return tval{src: true}
+			return tval{host: true}
 		}
 		if sel, ok := sc.info().Selections[x]; ok && sel.Kind() == types.FieldVal {
 			if id, ok := x.X.(*ast.Ident); ok {
@@ -900,13 +888,12 @@ func (sc *htScope) evalCall(call *ast.CallExpr, pos token.Pos) []tval {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		return one(sc.eval(call.Args[0], pos)) // conversion propagates
 	}
-	// Structural sources: direct fetches from host-writable memory are
-	// local taint — the same-function rules own those flows.
+	// Structural sources: direct fetches from host-writable memory.
 	if _, m, ok := sharedRead(info, call); ok {
 		if m == "ReadAt" {
 			return one(tval{}) // fills a caller buffer, no results
 		}
-		return one(tval{src: true})
+		return one(tval{host: true})
 	}
 	switch calleeName(call) {
 	case "len", "cap", "copy":
@@ -921,84 +908,29 @@ func (sc *htScope) evalCall(call *ast.CallExpr, pos token.Pos) []tval {
 		out := tval{}
 		for _, a := range call.Args {
 			t := sc.eval(a, pos)
-			if !t.concrete() && t.params == 0 {
+			if !t.host && t.params == 0 {
 				return one(tval{}) // capped by a trusted bound
 			}
 			out = unionT(out, t)
 		}
 		return one(out)
 	}
-	hf2, args := resolveCall(info, sc.st.fns, call)
-	if hf2 == nil {
-		return sc.evalImportedCall(call, pos)
-	}
-	sum2 := sc.st.sums[hf2]
-	if sum2 == nil || sum2.sanitizedFn {
+	fn, sum, args := sc.callee(call)
+	if sum == nil || len(sum.RetTainted) == 0 {
 		return one(tval{})
 	}
-	n := len(sum2.retTainted)
-	if n == 0 {
-		return one(tval{})
-	}
-	out := make([]tval, n)
-	for r := 0; r < n; r++ {
-		if sum2.retTainted[r] {
-			out[r].inter = true
-			out[r].via = hf2.obj.Name()
+	out := make([]tval, len(sum.RetTainted))
+	for r := range out {
+		if sum.RetTainted[r] {
+			out[r] = tval{host: true, via: fn.Name()}
 		}
-		bits := sum2.retFrom[r]
-		for i := 0; i < len(args) && i < maxTrackedParams; i++ {
-			if bits&paramBit(i) == 0 {
+		for i, arg := range args {
+			if r >= len(sum.RetFrom) || sum.RetFrom[r]&paramBit(slot(fn, i)) == 0 {
 				continue
 			}
-			at := sc.eval(args[i], pos)
-			if at.concrete() {
-				out[r].inter = true
-				if out[r].via == "" {
-					out[r].via = hf2.obj.Name()
-				}
-			}
-			out[r].params |= at.params
-		}
-	}
-	return out
-}
-
-// evalImportedCall is evalCall's out-of-package branch: the callee has no
-// local summary, so consult the imported TaintFact of its origin. With no
-// fact (or no fact store), the call is conservative-clean — the pre-fact
-// behavior.
-func (sc *htScope) evalImportedCall(call *ast.CallExpr, pos token.Pos) []tval {
-	one := func(t tval) []tval { return []tval{t} }
-	fn, args := resolveCallee(sc.info(), call)
-	f := sc.st.pass.ImportedTaint(fn)
-	if f == nil || f.Sanitized {
-		return one(tval{})
-	}
-	n := len(f.RetTainted)
-	if len(f.RetFrom) > n {
-		n = len(f.RetFrom)
-	}
-	if n == 0 {
-		return one(tval{})
-	}
-	out := make([]tval, n)
-	for r := 0; r < n; r++ {
-		if r < len(f.RetTainted) && f.RetTainted[r] {
-			out[r].inter = true
-			out[r].via = fn.Name()
-		}
-		var bits paramBits
-		if r < len(f.RetFrom) {
-			bits = paramBits(f.RetFrom[r])
-		}
-		for i := 0; i < len(args) && i < maxTrackedParams; i++ {
-			if bits&paramBit(i) == 0 {
-				continue
-			}
-			at := sc.eval(args[i], pos)
-			if at.concrete() {
-				out[r].inter = true
+			at := sc.eval(arg, pos)
+			if at.host {
+				out[r].host = true
 				if out[r].via == "" {
 					out[r].via = fn.Name()
 				}

@@ -14,8 +14,10 @@ func TestDoubleFetch(t *testing.T) {
 	analysistest.Run(t, corpus(), analysis.DoubleFetchAnalyzer, "doublefetch")
 }
 
+// TestMaskIdx runs hosttaint over the masked-index corpus: host-controlled
+// indices and lengths fetched and used in one function.
 func TestMaskIdx(t *testing.T) {
-	analysistest.Run(t, corpus(), analysis.MaskIdxAnalyzer, "maskidx")
+	analysistest.Run(t, corpus(), analysis.HostTaintAnalyzer, "maskidx")
 }
 
 func TestHostTaint(t *testing.T) {
@@ -84,7 +86,7 @@ func TestFactsRequireOrder(t *testing.T) {
 // TestSuite pins the rule inventory: renaming or dropping an analyzer is a
 // deliberate act, not a refactoring accident.
 func TestSuite(t *testing.T) {
-	want := []string{"doublefetch", "maskidx", "hosttaint", "sharedatomic", "fatalviolation", "sharedescape", "latchclear", "bufown", "lockdisc"}
+	want := []string{"doublefetch", "hosttaint", "sharedatomic", "fatalviolation", "sharedescape", "latchclear", "bufown", "lockdisc"}
 	suite := analysis.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

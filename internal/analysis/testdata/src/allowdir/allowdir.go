@@ -1,5 +1,6 @@
-// Corpus for the //ciovet:allow directive machinery itself: malformed
-// directives are diagnostics, well-formed ones suppress and are recorded.
+// Corpus for the //ciovet:allow directive machinery itself: malformed and
+// dead directives are diagnostics, well-formed ones suppress and are
+// recorded.
 package allowdir
 
 import "shmem"
@@ -12,13 +13,13 @@ func MissingRule(r *shmem.Region, arr []byte) byte {
 
 // MissingReason names a rule but gives no reason.
 func MissingReason(r *shmem.Region, arr []byte) byte {
-	//ciovet:allow maskidx
+	//ciovet:allow hosttaint
 	return arr[r.U32(0)]
 }
 
 // Suppressed opts out correctly.
 func Suppressed(r *shmem.Region, arr []byte) byte {
-	//ciovet:allow maskidx reason recorded for the audit trail
+	//ciovet:allow hosttaint reason recorded for the audit trail
 	return arr[r.U32(0)]
 }
 
@@ -32,4 +33,17 @@ func WrongRule(r *shmem.Region, arr []byte) byte {
 func Wildcard(r *shmem.Region, arr []byte) byte {
 	//ciovet:allow * adversarial corpus line exercising the wildcard
 	return arr[r.U32(0)]
+}
+
+// UnknownRule names a rule the suite does not have; the directive is a
+// diagnostic and the finding still fires.
+func UnknownRule(r *shmem.Region, arr []byte) byte {
+	//ciovet:allow maskidx the rule was folded into hosttaint
+	return arr[r.U32(0)]
+}
+
+// Unused opts a clean line out of a rule that ran: the directive is dead.
+func Unused(r *shmem.Region, arr []byte) byte {
+	//ciovet:allow hosttaint the index is masked, nothing to suppress
+	return arr[r.U32(0)&63]
 }

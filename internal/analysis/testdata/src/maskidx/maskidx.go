@@ -1,4 +1,4 @@
-// Corpus for the maskidx analyzer: host-controlled indices and lengths
+// Corpus for hosttaint's local flows: host-controlled indices and lengths
 // must be masked or bounds-validated on a terminating path.
 package maskidx
 
@@ -116,7 +116,7 @@ func BadRevalidateAfterRetaint(r *shmem.Region, arr []byte) byte {
 // AllowedUnmasked carries the loud opt-out annotation.
 func AllowedUnmasked(r *shmem.Region, arr []byte) byte {
 	n := r.U32(0)
-	//ciovet:allow maskidx corpus exercises the suppression path
+	//ciovet:allow hosttaint corpus exercises the suppression path
 	return arr[n]
 }
 
@@ -138,7 +138,7 @@ func BadCompoundAccumulate(r *shmem.Region, buf []byte) byte {
 // BadForInitTaint seeds the loop variable from shared memory; an
 // inequality test bounds nothing.
 func BadForInitTaint(r *shmem.Region, buf []byte) {
-	for i := r.U64(0); i != 0; i-- {
+	for i := r.U64(0); i != 0; i-- { // want "bounds a loop"
 		buf[i] = 0 // want "host-controlled value indexes buf"
 	}
 }
@@ -146,7 +146,7 @@ func BadForInitTaint(r *shmem.Region, buf []byte) {
 // BadForDescendingFromHost counts down from a host value: `i > 0` is a
 // lower bound, so the index is still unconstrained above.
 func BadForDescendingFromHost(r *shmem.Region, buf []byte) {
-	for i := r.U64(0); i > 0; i-- {
+	for i := r.U64(0); i > 0; i-- { // want "bounds a loop"
 		buf[i] = 0 // want "host-controlled value indexes buf"
 	}
 }

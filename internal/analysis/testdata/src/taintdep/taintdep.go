@@ -24,6 +24,12 @@ func badSinkArg(r *shmem.Region, buf []byte) byte {
 	return taintfacts.Sum(buf, r.U32(0)) // want `passed to parameter "n" of Sum, which indexes buf`
 }
 
+// badVariadicArg: the host value is the second variadic argument; it
+// maps to the variadic parameter's slot like the first.
+func badVariadicArg(r *shmem.Region, buf []byte) byte {
+	return taintfacts.SumAll(buf, 0, r.U32(0)) // want `passed to parameter "idx" of SumAll, which indexes buf`
+}
+
 // goodMasked: masking sanitizes before the boundary-crossing use.
 func goodMasked(r *shmem.Region) byte {
 	n := taintfacts.FetchLen(r)

@@ -21,6 +21,16 @@ func Sum(buf []byte, n uint32) byte {
 	return buf[n]
 }
 
+// SumAll indexes its buffer with every variadic argument unsanitized:
+// the variadic parameter, slot 1, reaches an indexing sink.
+func SumAll(buf []byte, idx ...uint32) byte {
+	var s byte
+	for _, i := range idx {
+		s += buf[i]
+	}
+	return s
+}
+
 // CheckLen is the factored-out validator shape: it bounds-checks n in
 // a terminating guard, recorded in the fact as ParamChecked.
 func CheckLen(n uint32) error {

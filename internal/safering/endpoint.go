@@ -603,7 +603,9 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 			e.sh.RXData.Revoke(off, platform.PageSize)
 			data := e.sh.RXData.Region().Slice(off, int(d.Len))
 			e.rxTail++
-			//ciovet:allow sharedescape slab revoked above: the host can no longer write these pages, so handing out the in-place view is single-fetch-safe until Release reshares
+			// Slab revoked above: the host can no longer write these pages, so
+			// handing out the in-place view is single-fetch-safe until Release
+			// reshares.
 			return e.newFrameLocked(data, nil, slab), nil
 		}
 
